@@ -5,6 +5,7 @@ failovers, membership changes.  What the *replicas* did (computes,
 cache hits, batch flushes) is scraped live from each replica's own
 ``/metrics`` at snapshot time and aggregated next to these counters;
 see :meth:`repro.dispatch.router.DispatchRouter.cluster_metrics`.
+The metrics themselves are declared in :data:`repro.metrics.ROUTER`.
 
 Everything here is mutated from the router's event loop, so plain
 attributes suffice — no locks.
@@ -12,111 +13,21 @@ attributes suffice — no locks.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict
 
-from repro.engine.bench import percentile
-
-#: How many recent routed-request latencies feed the percentiles.
-LATENCY_WINDOW = 1024
-
-#: Replica counters summed into the ``cluster`` section of the
-#: dispatcher's ``/metrics``.  Only UP replicas contribute — a dead
-#: replica's counters vanish from the aggregate (smoke checks that
-#: pin cluster totals across a kill must snapshot the victim first).
-#: The peer-tier fields come from each replica's ClusterStore merge;
-#: replicas running without peers report them as zero.
-CLUSTER_SUM_FIELDS = (
-    "requests",
-    "schedule_requests",
-    "computed",
-    "cache_hits",
-    "coalesced",
-    "rejected",
-    "errors",
-    "batches",
-    "compute_seconds_total",
-    "peer_served",
-    "peer_received",
-    "peer_hits",
-    "peer_misses",
-    "peer_fetch_errors",
-    "published",
-    "publish_errors",
-    # Anytime-improver counters (sse_clients stays out: it is a gauge
-    # of open connections, not a monotone counter worth summing).
-    "improve_jobs",
-    "improved_entries",
-    "proved_optimal",
-    # Resilience counters: engine worker-crash recovery and the
-    # cluster-store publisher's load-shedding drops.
-    "worker_crashes",
-    "quarantined_jobs",
-    "publish_dropped",
-    # Constraint-scenario computes, per mode (memory-banked, I/O
-    # pinned, reliability-hardened).
-    "scenario_memory_jobs",
-    "scenario_io_jobs",
-    "scenario_reliability_jobs",
-)
+from repro import metrics
 
 
 class DispatchMetrics:
-    """Counters and gauges for one router process.
-
-    Counter semantics:
-
-    ``requests``
-        Every HTTP request the router parsed, any endpoint or status.
-    ``schedule_requests``
-        ``POST /schedule`` requests admitted past validation.
-    ``routed``
-        Requests the router proxied to a replica (coalesced twins
-        never reach the network, so ``routed`` counts unique work).
-    ``coalesced``
-        Requests that attached to an identical in-flight exchange at
-        the router — answered without any network hop of their own.
-    ``retried``
-        Proxy attempts beyond a request's first (every extra ring
-        position tried, whether or not it eventually succeeded).
-    ``failed_over``
-        Requests answered by a replica other than their ring owner.
-    ``failed``
-        Requests for which every candidate replica failed (the client
-        saw 502/503).
-    ``ejected`` / ``readmitted``
-        Ring membership flips, from health probes or live failures.
-    ``stream_broken``
-        Relayed SSE streams whose upstream replica disconnected before
-        a terminal event (the client got a synthesized ``error`` frame).
-    ``deadline_exhausted``
-        Requests answered 504 because their deadline budget ran out
-        before any replica produced an answer.
-    ``breaker_opened`` / ``breaker_closed``
-        Per-replica circuit-breaker transitions, summed over replicas.
-    """
+    """Counters and gauges for one router process."""
 
     def __init__(self) -> None:
-        self.requests = 0
-        self.schedule_requests = 0
-        self.routed = 0
-        self.coalesced = 0
-        self.retried = 0
-        self.failed_over = 0
-        self.failed = 0
-        self.errors = 0
-        self.ejected = 0
-        self.readmitted = 0
-        self.stream_broken = 0
-        self.deadline_exhausted = 0
-        self.breaker_opened = 0
-        self.breaker_closed = 0
-        self.in_flight = 0
+        metrics.zero(self, metrics.ROUTER)
         self.per_replica: Dict[str, Dict[str, int]] = {}
-        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self._latency = metrics.LatencyWindow()
 
     def observe_latency(self, seconds: float) -> None:
-        self._latencies.append(seconds)
+        self._latency.observe(seconds)
 
     def replica_entry(self, name: str) -> Dict[str, int]:
         entry = self.per_replica.get(name)
@@ -134,26 +45,9 @@ class DispatchMetrics:
 
     def snapshot(self) -> Dict[str, Any]:
         """The router section of ``/metrics`` (JSON-safe dict)."""
-        window = list(self._latencies)
         return {
-            "requests": self.requests,
-            "schedule_requests": self.schedule_requests,
-            "routed": self.routed,
-            "coalesced": self.coalesced,
-            "retried": self.retried,
-            "failed_over": self.failed_over,
-            "failed": self.failed,
-            "errors": self.errors,
-            "ejected": self.ejected,
-            "readmitted": self.readmitted,
-            "stream_broken": self.stream_broken,
-            "deadline_exhausted": self.deadline_exhausted,
-            "breaker_opened": self.breaker_opened,
-            "breaker_closed": self.breaker_closed,
-            "in_flight": self.in_flight,
-            "latency_p50_ms": percentile(window, 0.50) * 1000.0,
-            "latency_p95_ms": percentile(window, 0.95) * 1000.0,
-            "latency_samples": len(window),
+            **metrics.read(self, metrics.ROUTER),
+            **self._latency.snapshot(),
             "per_replica": {
                 name: dict(entry)
                 for name, entry in sorted(self.per_replica.items())

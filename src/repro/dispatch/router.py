@@ -40,12 +40,13 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.engine.job import JobSpec
 from repro.engine.keys import CacheKeyResolver
 from repro.errors import ReproError
+from repro.metrics import cluster_sums
 from repro.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.serve import protocol
 from repro.serve.http import Body, HttpServerCore, StreamBody, parse_query
 from repro.serve.stream import sse_frame
 from repro.dispatch import proxy
-from repro.dispatch.metrics import CLUSTER_SUM_FIELDS, DispatchMetrics
+from repro.dispatch.metrics import DispatchMetrics
 from repro.dispatch.ring import DEFAULT_VNODES, HashRing
 from repro.store.peers import parse_address
 
@@ -738,27 +739,21 @@ class DispatchRouter(HttpServerCore):
 
         Three sections: ``router`` (this process's counters),
         ``replicas`` (each replica's live ``/metrics``, or its scrape
-        error), and ``cluster`` (sums across the replicas that
-        answered — the cluster-wide one-compute-per-unique-key
-        invariant is checked against ``cluster.computed``).
+        error), and ``cluster`` (every replica counter summed across
+        the replicas that answered — the cluster-wide one-compute-per-
+        unique-key invariant is checked against ``cluster.computed``).
         """
         names = list(self.replicas)
         scraped = await asyncio.gather(
             *(self._scrape(name) for name in names)
         )
         replicas = dict(zip(names, scraped))
+        up = [entry["metrics"] for entry in replicas.values() if entry["up"]]
         totals = {
-            "replicas_up": sum(
-                1 for entry in replicas.values() if entry["up"]
-            ),
+            "replicas_up": len(up),
             "replicas_total": len(replicas),
+            **cluster_sums(up),
         }
-        for field in CLUSTER_SUM_FIELDS:
-            totals[field] = sum(
-                entry["metrics"].get(field, 0)
-                for entry in replicas.values()
-                if entry["up"]
-            )
         return {
             "router": {
                 **self.metrics.snapshot(),

@@ -47,7 +47,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro import faultlab
+from repro import faultlab, metrics
 from repro.engine.cache import ResultCache
 from repro.engine.job import (
     ALGORITHMS,
@@ -310,8 +310,7 @@ class BatchEngine:
         self._pool_lock = threading.Lock()
         self._crash_strikes: Dict[str, int] = {}
         self._quarantined: Dict[str, str] = {}
-        self.worker_crashes = 0
-        self.quarantined_jobs = 0
+        metrics.zero(self, metrics.ENGINE)
 
     # ------------------------------------------------------------------
 
@@ -900,7 +899,4 @@ class BatchEngine:
     def crash_stats(self) -> Dict[str, int]:
         """Worker-crash counters for the serving layer's /metrics."""
         with self._crash_lock:
-            return {
-                "worker_crashes": self.worker_crashes,
-                "quarantined_jobs": self.quarantined_jobs,
-            }
+            return metrics.read(self, metrics.ENGINE)

@@ -62,45 +62,6 @@ RUNTIME_FACTOR = 2.0
 RUNTIME_GRACE_S = 0.1
 
 
-def percentile(samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of ``samples`` (0 for an empty list)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[rank]
-
-
-def perf_summary(results: Sequence[JobResult]) -> Dict[str, Dict[str, Any]]:
-    """Per-algorithm wall-time percentiles over a run's cells.
-
-    Only freshly computed cells contribute (a cache hit replays the
-    stored runtime of some earlier machine, which would poison the
-    percentiles).  ``cached`` counts how many cells were skipped that
-    way, so an all-hits run is recognizably empty rather than silently
-    fast.
-    """
-    summary: Dict[str, Dict[str, Any]] = {}
-    for algorithm in sorted({r.algorithm for r in results}):
-        fresh = [
-            r.runtime_s
-            for r in results
-            if r.algorithm == algorithm and not r.cached
-        ]
-        cached = sum(
-            1 for r in results if r.algorithm == algorithm and r.cached
-        )
-        summary[algorithm] = {
-            "cells": len(fresh),
-            "cached": cached,
-            "p50_ms": percentile(fresh, 0.50) * 1000.0,
-            "p95_ms": percentile(fresh, 0.95) * 1000.0,
-            "max_ms": max(fresh, default=0.0) * 1000.0,
-            "total_ms": sum(fresh) * 1000.0,
-        }
-    return summary
-
-
 def suite_jobs(
     benches: Sequence[str] = SUITE_BENCHES,
     algorithms: Sequence[str] = SUITE_ALGORITHMS,
@@ -116,11 +77,7 @@ def suite_jobs(
 
 @dataclass
 class BenchReport:
-    """Results of one suite run plus enough context to re-check it.
-
-    ``perf`` is the optional per-algorithm wall-time summary (see
-    :func:`perf_summary`), populated by ``repro bench --perf``.
-    """
+    """Results of one suite run plus enough context to re-check it."""
 
     results: List[JobResult]
     benches: Tuple[str, ...] = SUITE_BENCHES
@@ -128,10 +85,9 @@ class BenchReport:
     constraint: str = SUITE_CONSTRAINT
     wall_time_s: float = 0.0
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    perf: Optional[Dict[str, Dict[str, Any]]] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "format": RESULTS_FORMAT,
             "suite": {
                 "benches": list(self.benches),
@@ -142,9 +98,6 @@ class BenchReport:
             "cache_stats": dict(self.cache_stats),
             "results": [result.to_dict() for result in self.results],
         }
-        if self.perf is not None:
-            data["perf"] = self.perf
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BenchReport":
@@ -164,7 +117,6 @@ class BenchReport:
             constraint=suite.get("constraint", SUITE_CONSTRAINT),
             wall_time_s=float(data.get("wall_time_s", 0.0)),
             cache_stats=dict(data.get("cache_stats", {})),
-            perf=data.get("perf"),
         )
 
     def table(self) -> str:
@@ -183,37 +135,6 @@ class BenchReport:
             ("bench", "algorithm", "resources", "length", "ms", "cache"),
             rows,
             title=f"bench suite ({self.constraint})",
-        )
-
-    def perf_table(self) -> str:
-        """Render the per-algorithm wall-time percentiles (``--perf``)."""
-        perf = self.perf if self.perf is not None else perf_summary(
-            self.results
-        )
-        rows = [
-            (
-                algorithm,
-                entry["cells"],
-                entry["cached"],
-                f"{entry['p50_ms']:.2f}",
-                f"{entry['p95_ms']:.2f}",
-                f"{entry['max_ms']:.2f}",
-                f"{entry['total_ms']:.2f}",
-            )
-            for algorithm, entry in perf.items()
-        ]
-        return render_table(
-            (
-                "algorithm",
-                "cells",
-                "cached",
-                "p50 ms",
-                "p95 ms",
-                "max ms",
-                "total ms",
-            ),
-            rows,
-            title="per-algorithm wall time",
         )
 
 

@@ -14,9 +14,6 @@ Two layers:
   atomically (tmp file + rename) so concurrent writers can never leave
   a torn entry, and a torn or corrupt shard entry degrades to a miss.
 
-Legacy flat layouts (``cache_dir/<key>.json`` straight from PR 1) are
-migrated into shards once, on first open.
-
 Capacity: pass ``max_entries`` to bound the store.  Eviction is LRU —
 recency is the shard file's mtime, refreshed on hits (throttled to
 once per :data:`TOUCH_INTERVAL_S` per entry, so hot keys served from
@@ -55,11 +52,9 @@ SHARD_WIDTH = 2
 #: inside the window skip the utime/stat pair entirely.
 TOUCH_INTERVAL_S = 1.0
 
-#: Version tag written into every shard entry.  Legacy (PR 1) flat
-#: entries carry no tag; their payloads are value-compatible — no
-#: registry algorithm mutates the graph during scheduling, so their
-#: ``num_ops`` matches what the fixed engine computes — and future
-#: payload changes can dispatch on this field at migration time.
+#: Version tag written into every shard entry.  Readers read untagged
+#: entries as this version and leave newer tags alone, so a future
+#: payload change can dispatch on this field.
 ENTRY_FORMAT = "repro-result-v2"
 
 #: Full sha256 hexdigest length; anything else is not a cache entry.
@@ -78,8 +73,7 @@ class ResultCache:
     Parameters
     ----------
     cache_dir:
-        Directory for the on-disk layer (omit for memory-only).  Flat
-        legacy entries found at the top level are migrated into shards.
+        Directory for the on-disk layer (omit for memory-only).
     max_entries:
         Capacity bound across both layers.  ``None`` (the default)
         means unbounded; otherwise the least-recently-used entries are
@@ -138,7 +132,6 @@ class ResultCache:
                 raise ReproError(
                     f"cannot create cache directory {self._dir}: {exc}"
                 )
-            self._migrate_flat_layout()
             if max_entries is not None:
                 # Eviction needs the full recency picture up front; an
                 # unbounded store defers the walk until something asks
@@ -154,38 +147,6 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         assert self._dir is not None
         return self._dir / key[:SHARD_WIDTH] / f"{key}.json"
-
-    def _migrate_flat_layout(self) -> None:
-        """Move PR-1 era flat ``<key>.json`` entries into shards."""
-        assert self._dir is not None
-        try:
-            flat = list(self._dir.glob("*.json"))
-        except OSError:
-            return
-        for entry in flat:
-            if not _is_key(entry.stem):
-                continue
-            target = self._path(entry.stem)
-            try:
-                if target.exists():
-                    # A sharded entry for this key is newer/richer by
-                    # construction — but retire the flat duplicate only
-                    # if that entry is intact.  A torn sharded copy
-                    # (crash mid-life) is replaced by the surviving
-                    # flat one rather than orphaning both.
-                    try:
-                        json.loads(target.read_text(encoding="utf-8"))
-                        entry.unlink()
-                        continue
-                    except (OSError, ValueError):
-                        pass
-                target.parent.mkdir(exist_ok=True)
-                os.replace(entry, target)
-            except OSError:
-                # A concurrent migrator (or a read-only dir) is fine:
-                # the entry either moved already or stays flat and is
-                # served by the flat-path read fallback.
-                continue
 
     def _ensure_scan(self) -> None:
         """Build the index once: every shard entry, with its mtime.
@@ -204,8 +165,10 @@ class ResultCache:
             # The directory vanished (external cleanup): an empty index
             # and miss-on-read beat a traceback out of len()/index().
             return
-        def index_entries(entries) -> None:
-            for entry in entries:
+        for shard in shards:
+            if not shard.is_dir() or len(shard.name) != SHARD_WIDTH:
+                continue
+            for entry in shard.glob("*.json"):
                 if not _is_key(entry.stem) or entry.stem in self._known:
                     continue
                 try:
@@ -214,17 +177,6 @@ class ResultCache:
                     continue
                 self._note(entry.stem, stat.st_mtime)
                 self._bytes.setdefault(entry.stem, stat.st_size)
-
-        for shard in shards:
-            if shard.is_dir() and len(shard.name) == SHARD_WIDTH:
-                index_entries(shard.glob("*.json"))
-        # Unmigrated flat legacy entries (migration failed on read-only
-        # media) are still servable via the flat-path fallback, so they
-        # count toward len()/index()/capacity like any other entry.
-        try:
-            index_entries(self._dir.glob("*.json"))
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # Index maintenance.
@@ -259,21 +211,19 @@ class ResultCache:
             or now - self._synced.get(key, 0.0) < self.TOUCH_INTERVAL_S
         ):
             return
-        # Sync whichever candidate path holds the entry (unmigrated
-        # flat entries included), and record success only when a utime
-        # landed — a failed sync must retry at the next touch.
-        for path in self._candidate_paths(key):
-            try:
-                os.utime(path)
-                self._synced[key] = now
-                # Record the file's *actual* mtime, not the wall
-                # clock: eviction compares against a later stat of the
-                # same file, and any clock/filesystem skew between the
-                # two sources would mis-rank self-touched entries.
-                self._note(key, path.stat().st_mtime)
-                break
-            except OSError:
-                continue
+        # Record success only when a utime landed — a failed sync must
+        # retry at the next touch.
+        path = self._path(key)
+        try:
+            os.utime(path)
+            self._synced[key] = now
+            # Record the file's *actual* mtime, not the wall clock:
+            # eviction compares against a later stat of the same file,
+            # and any clock/filesystem skew between the two sources
+            # would mis-rank self-touched entries.
+            self._note(key, path.stat().st_mtime)
+        except OSError:
+            pass
 
     def _forget(self, key: str) -> None:
         """Remove ``key`` from every layer and index *we* manage,
@@ -290,11 +240,10 @@ class ResultCache:
         """Forget ``key`` entirely (both layers + index + disk)."""
         self._forget(key)
         if self._dir is not None:
-            for path in self._candidate_paths(key):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            try:
+                os.unlink(self._path(key))
+            except OSError:
+                pass
 
     def _evict(self, protect: Optional[str] = None) -> None:
         """Evict least-recently-used entries until under capacity.
@@ -356,45 +305,29 @@ class ResultCache:
     # ------------------------------------------------------------------
     # The cache protocol.
 
-    def _candidate_paths(self, key: str) -> tuple:
-        """Where an entry may live: its shard path, else legacy flat.
-
-        The flat fallback keeps PR-1-era caches on unwritable media
-        servable: when migration could not move an entry (read-only
-        mount, no permission), it is still readable where it lies.
-        Membership, retrieval, and deletion all share this policy.
-        """
-        assert self._dir is not None
-        return (self._path(key), self._dir / f"{key}.json")
-
     def _read_entry(self, key: str) -> Optional[str]:
-        """Raw entry text from the first readable candidate path."""
-        for path in self._candidate_paths(key):
-            try:
-                return path.read_text(encoding="utf-8")
-            except OSError:
-                continue
-        return None
+        """Raw entry text, or None when the entry cannot be read."""
+        try:
+            return self._path(key).read_text(encoding="utf-8")
+        except OSError:
+            return None
 
     def _stat_entry(self, key: str):
         """``(stat, confirmed_missing)`` for the entry's disk presence.
 
-        ``stat`` is the first candidate path that exists, else None.
-        ``confirmed_missing`` is True only when every candidate path
-        reports structural absence (ENOENT/ENOTDIR): a transient stat
-        error (EIO, EACCES) can confirm nothing, and the policy that
-        transient I/O must never destroy a valid entry hangs off this
-        distinction — both membership and retrieval share it.
+        ``stat`` is the entry's stat, else None.  ``confirmed_missing``
+        is True only when the path reports structural absence
+        (ENOENT/ENOTDIR): a transient stat error (EIO, EACCES) can
+        confirm nothing, and the policy that transient I/O must never
+        destroy a valid entry hangs off this distinction — both
+        membership and retrieval share it.
         """
-        confirmed = True
-        for path in self._candidate_paths(key):
-            try:
-                return path.stat(), False
-            except (FileNotFoundError, NotADirectoryError):
-                continue
-            except OSError:
-                confirmed = False
-        return None, confirmed
+        try:
+            return self._path(key).stat(), False
+        except (FileNotFoundError, NotADirectoryError):
+            return None, True
+        except OSError:
+            return None, False
 
     def _entry_missing(self, key: str) -> bool:
         """True only when the entry is *confirmed* absent on disk."""
@@ -429,18 +362,16 @@ class ResultCache:
             return False
         if key in self._foreign:
             return True
-        for path in self._candidate_paths(key):
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            foreign = (
-                isinstance(data, dict)
-                and data.get("format") not in (None, ENTRY_FORMAT)
-            )
-            (self._foreign if foreign else self._native).add(key)
-            return foreign
-        return False
+        try:
+            data = json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return False
+        foreign = (
+            isinstance(data, dict)
+            and data.get("format") not in (None, ENTRY_FORMAT)
+        )
+        (self._foreign if foreign else self._native).add(key)
+        return foreign
 
     def get(
         self,

@@ -71,12 +71,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _probe_cache_dir(cache_dir: str) -> None:
     """Fail fast — before any job computes — on an unwritable store.
 
-    The library-level store tolerates read-only media for *reads*
-    (legacy flat entries stay servable), but a batch/bench/serve run
-    must write fresh results; discovering that mid-sweep wastes the
-    whole compute.  One created-and-unlinked probe file settles it up
-    front, and failure is a :class:`ReproError` (clean exit code 2),
-    never a traceback.
+    The library-level store tolerates read-only media for *reads*,
+    but a batch/bench/serve run must write fresh results; discovering
+    that mid-sweep wastes the whole compute.  One created-and-unlinked
+    probe file settles it up front, and failure is a
+    :class:`ReproError` (clean exit code 2), never a traceback.
     """
     path = Path(cache_dir)
     try:
@@ -296,14 +295,6 @@ def cmd_bench(args: Sequence[str]) -> int:
             "schedule-length regression or >2x runtime blowup"
         ),
     )
-    parser.add_argument(
-        "--perf",
-        action="store_true",
-        help=(
-            "print per-algorithm wall-time percentiles and embed them "
-            "under a 'perf' key in the --json document"
-        ),
-    )
     _add_common(parser)
     opts = parser.parse_args(list(args))
     _check_cache_opts(opts)
@@ -314,11 +305,7 @@ def cmd_bench(args: Sequence[str]) -> int:
         capture_schedules=opts.artifacts,
         max_cache_entries=opts.cache_entries,
     )
-    if opts.perf:
-        report.perf = bench_mod.perf_summary(report.results)
     print(report.table())
-    if opts.perf:
-        print(report.perf_table())
     print(f"suite wall time: {report.wall_time_s:.2f}s")
 
     if opts.json:

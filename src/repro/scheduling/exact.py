@@ -72,14 +72,20 @@ def exact_schedule(
     explored = 0
     seen: Dict[Tuple[FrozenSet[str], Tuple[int, ...]], int] = {}
 
-    def remaining_bound(unstarted: List[str], finish_of: Dict[str, int]) -> int:
-        """Lower bound on the final makespan given current progress."""
+    def remaining_bound(
+        unstarted: List[str], finish_of: Dict[str, int], step: int
+    ) -> int:
+        """Lower bound on the final makespan given current progress.
+
+        Every unstarted op starts at ``step`` or later, so both
+        components count from ``step`` rather than from 0.
+        """
         bound = max(finish_of.values(), default=0)
         rem_work: Dict[FuType, int] = {}
         for n in unstarted:
             # Critical-path component: op cannot finish before its ready
             # time plus its sink distance.
-            ready = 0
+            ready = step
             for e in dfg.in_edges(n):
                 if e.src in finish_of:
                     ready = max(ready, finish_of[e.src] + e.weight)
@@ -91,7 +97,7 @@ def exact_schedule(
                 )
         for fu_type, work in rem_work.items():
             count = resources.count(fu_type)
-            bound = max(bound, -(-work // count))
+            bound = max(bound, step - (-work // count))
         return bound
 
     start_times: Dict[str, int] = {}
@@ -111,7 +117,7 @@ def exact_schedule(
                 best_times = dict(start_times)
             return
 
-        if remaining_bound(unstarted, finish_of) >= best_length:
+        if remaining_bound(unstarted, finish_of, step) >= best_length:
             return
 
         key = (

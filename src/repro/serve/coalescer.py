@@ -113,7 +113,7 @@ class RequestCoalescer:
         future = asyncio.get_running_loop().create_future()
         self._inflight[spec] = future
         self._buffer.append((spec, future))
-        self.metrics.queued_jobs += 1
+        self.metrics.queue_depth += 1
         if len(self._buffer) >= self.max_batch:
             self._flush_now()
         elif self._timer is None:
@@ -145,14 +145,14 @@ class RequestCoalescer:
         """Retire one admitted job's bookkeeping.
 
         Runs exactly once per buffered job, *next to* its future
-        resolving — never earlier — so the ``queued_jobs`` gauge that
-        ``/metrics`` reports as ``queue_depth`` counts work as
-        in-flight until the moment its client can observe the result.
+        resolving — never earlier — so the ``queue_depth`` gauge counts
+        work as in-flight until the moment its client can observe the
+        result.
         """
         self._inflight.pop(spec, None)
-        self.metrics.queued_jobs -= 1
-        assert self.metrics.queued_jobs >= 0, (
-            "queued_jobs gauge went negative: a job was settled twice"
+        self.metrics.queue_depth -= 1
+        assert self.metrics.queue_depth >= 0, (
+            "queue_depth gauge went negative: a job was settled twice"
         )
 
     def _fail_batch(

@@ -2,23 +2,17 @@
 
 Everything here is mutated from the server's event loop (request
 handlers and flush callbacks all run on the loop thread), so plain
-attributes suffice — no locks.  The snapshot served by ``/metrics`` is
-a flat JSON object: counters since process start, two gauges sampled at
-snapshot time, and p50/p95 over a sliding window of recent request
-latencies.
+attributes suffice — no locks.  The metrics themselves are declared in
+:data:`repro.metrics.SERVE` and documented in ``docs/OPERATIONS.md``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict
 
-from repro.engine.bench import percentile
+from repro import metrics
 
-__all__ = ["ServiceMetrics", "percentile"]
-
-#: How many recent request latencies feed the percentile estimates.
-LATENCY_WINDOW = 1024
+__all__ = ["ServiceMetrics"]
 
 #: Per-algorithm compute-time window (fresh computations only), sized
 #: smaller than the request window since computes are the rarer event.
@@ -28,95 +22,18 @@ COMPUTE_WINDOW = 256
 class ServiceMetrics:
     """Counters, gauges, and a latency window for one server process.
 
-    Counter semantics:
-
-    ``requests``
-        Every HTTP request the server parsed, any endpoint or status.
-    ``schedule_requests``
-        ``POST /schedule`` requests admitted past validation and the
-        overload check.
-    ``computed``
-        Results the engine actually computed (``cached=False``) — the
-        number the CI smoke gate pins: a burst of duplicates must
-        leave exactly one ``computed`` per unique job.
-    ``cache_hits``
-        Responses served from the engine's result cache.
-    ``coalesced``
-        Requests that attached to an identical in-flight computation
-        instead of submitting their own.
-    ``rejected``
-        Requests turned away with 429 by the bounded queue.
-    ``errors``
-        Non-2xx responses other than 429 (bad request, not found, ...).
-    ``batches``
-        Micro-batch flushes into the engine.
-    ``compute_seconds_total``
-        Scheduler CPU-seconds actually spent (fresh computations only —
-        cache hits and coalesced requests add nothing), also broken
-        down per algorithm under ``algorithms`` with p50/p95 compute
-        latencies, so serving hot spots are visible from ``/metrics``.
-    ``peer_served``
-        Cache entries this replica answered to peers' ``GET
-        /cache/<key>`` probes (404s don't count).
-    ``peer_received``
-        Entries installed from peers' ``POST /cache/<key>`` publishes.
-    ``hier_jobs``
-        Freshly computed ``hier-fds`` jobs — ones whose artifact
-        carries hierarchical-orchestration meta.
-    ``hier_rounds_total`` / ``hier_partitions_total``
-        Feedback rounds and graph parts those jobs reported, summed;
-        divide by ``hier_jobs`` for the per-job averages.
-    ``scenario_memory_jobs`` / ``scenario_io_jobs`` /
-    ``scenario_reliability_jobs``
-        Freshly computed jobs whose spec carried a constraint scenario
-        of that mode (the artifact's ``meta.scenario.mode`` — cache
-        hits and coalesced twins add nothing).
-    ``improve_jobs``
-        Anytime improver runs started on this replica (stream requests
-        that attached to an already-running improver don't count).
-    ``improved_entries``
-        Cache rewrites the engine accepted from improver runs — each
-        one replaced the stored entry with a strictly better result.
-    ``proved_optimal``
-        Improver runs that terminated with an optimality proof.
-    ``sse_clients``
-        Gauge: ``GET /schedule/stream`` connections currently open.
-
     The cluster tier's *client-side* counters (``peer_hits``,
-    ``peer_fetch_errors``, ``published``, ...) live on the
-    :class:`~repro.store.ClusterStore` itself and are merged into the
-    ``/metrics`` snapshot by the server.
+    ``published``, ...) live on the :class:`~repro.store.ClusterStore`
+    itself and are merged into the ``/metrics`` snapshot by the server.
     """
 
     def __init__(self) -> None:
-        self.requests = 0
-        self.schedule_requests = 0
-        self.computed = 0
-        self.cache_hits = 0
-        self.coalesced = 0
-        self.rejected = 0
-        self.errors = 0
-        self.batches = 0
-        self.peer_served = 0
-        self.peer_received = 0
-        self.hier_jobs = 0
-        self.hier_rounds_total = 0
-        self.hier_partitions_total = 0
-        self.scenario_memory_jobs = 0
-        self.scenario_io_jobs = 0
-        self.scenario_reliability_jobs = 0
-        self.improve_jobs = 0
-        self.improved_entries = 0
-        self.proved_optimal = 0
-        self.sse_clients = 0
-        self.in_flight = 0
-        self.queued_jobs = 0
-        self.compute_seconds_total = 0.0
-        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        metrics.zero(self, metrics.SERVE)
+        self._latency = metrics.LatencyWindow()
         self._compute: Dict[str, Dict[str, Any]] = {}
 
     def observe_latency(self, seconds: float) -> None:
-        self._latencies.append(seconds)
+        self._latency.observe(seconds)
 
     def record_compute(self, algorithm: str, seconds: float) -> None:
         """Account one fresh scheduler computation to ``algorithm``."""
@@ -126,12 +43,12 @@ class ServiceMetrics:
             entry = {
                 "computed": 0,
                 "seconds_total": 0.0,
-                "window": deque(maxlen=COMPUTE_WINDOW),
+                "window": metrics.LatencyWindow(COMPUTE_WINDOW),
             }
             self._compute[algorithm] = entry
         entry["computed"] += 1
         entry["seconds_total"] += seconds
-        entry["window"].append(seconds)
+        entry["window"].observe(seconds)
 
     def record_hier(self, rounds: int, partitions: int) -> None:
         """Account one fresh hierarchical job's orchestration meta."""
@@ -147,52 +64,22 @@ class ServiceMetrics:
         not to re-validate artifacts the engine already produced.
         """
         field = f"scenario_{mode}_jobs"
-        if hasattr(self, field):
+        if field in metrics.SERVE:
             setattr(self, field, getattr(self, field) + 1)
 
     def snapshot(self) -> Dict[str, Any]:
         """The ``/metrics`` payload (plain JSON-safe dict)."""
-        window = list(self._latencies)
+        algorithms = {}
+        for algorithm, entry in sorted(self._compute.items()):
+            p50, p95 = entry["window"].p50_p95_ms()
+            algorithms[algorithm] = {
+                "computed": entry["computed"],
+                "seconds_total": entry["seconds_total"],
+                "compute_p50_ms": p50,
+                "compute_p95_ms": p95,
+            }
         return {
-            "requests": self.requests,
-            "schedule_requests": self.schedule_requests,
-            "computed": self.computed,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "rejected": self.rejected,
-            "errors": self.errors,
-            "batches": self.batches,
-            "peer_served": self.peer_served,
-            "peer_received": self.peer_received,
-            "hier_jobs": self.hier_jobs,
-            "hier_rounds_total": self.hier_rounds_total,
-            "hier_partitions_total": self.hier_partitions_total,
-            "scenario_memory_jobs": self.scenario_memory_jobs,
-            "scenario_io_jobs": self.scenario_io_jobs,
-            "scenario_reliability_jobs": self.scenario_reliability_jobs,
-            "improve_jobs": self.improve_jobs,
-            "improved_entries": self.improved_entries,
-            "proved_optimal": self.proved_optimal,
-            "sse_clients": self.sse_clients,
-            "in_flight": self.in_flight,
-            "queue_depth": self.queued_jobs,
-            "latency_p50_ms": percentile(window, 0.50) * 1000.0,
-            "latency_p95_ms": percentile(window, 0.95) * 1000.0,
-            "latency_samples": len(window),
-            "compute_seconds_total": self.compute_seconds_total,
-            "algorithms": {
-                algorithm: {
-                    "computed": entry["computed"],
-                    "seconds_total": entry["seconds_total"],
-                    "compute_p50_ms": percentile(
-                        list(entry["window"]), 0.50
-                    )
-                    * 1000.0,
-                    "compute_p95_ms": percentile(
-                        list(entry["window"]), 0.95
-                    )
-                    * 1000.0,
-                }
-                for algorithm, entry in sorted(self._compute.items())
-            },
+            **metrics.read(self, metrics.SERVE),
+            **self._latency.snapshot(),
+            "algorithms": algorithms,
         }

@@ -251,15 +251,11 @@ class ScheduleServer(HttpServerCore):
         """The exact ``/metrics`` document for this replica."""
         snapshot = self.metrics.snapshot()
         snapshot["engine_cache"] = self.engine.cache.stats()
-        peer_stats = getattr(self.engine.cache, "peer_stats", None)
-        if callable(peer_stats):
-            # Top-level merge (not nested) so the dispatcher's
-            # cluster-wide aggregation sums them like any counter.
-            snapshot.update(peer_stats())
-        crash_stats = getattr(self.engine, "crash_stats", None)
-        if callable(crash_stats):
-            # Same top-level merge for worker-crash recovery counters.
-            snapshot.update(crash_stats())
+        # Top-level merges (not nested) so the dispatcher's cluster-wide
+        # aggregation sums them like any replica counter.
+        if isinstance(self.engine.cache, ClusterStore):
+            snapshot.update(self.engine.cache.peer_stats())
+        snapshot.update(self.engine.crash_stats())
         return snapshot
 
     async def _handle_cache(

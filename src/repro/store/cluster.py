@@ -55,6 +55,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
+from repro import metrics
 from repro.engine.cache import ENTRY_FORMAT, ResultCache
 from repro.engine.job import JobResult
 from repro.errors import ReproError
@@ -187,19 +188,19 @@ class ClusterStore(ResultCache):
             raise ReproError(
                 f"peer_timeout_s must be positive, got {peer_timeout_s}"
             )
-        self.peers: Dict[str, tuple] = {}
+        self.peer_addresses: Dict[str, tuple] = {}
         for text in peers:
             host, port = peers_mod.parse_address(text)
             name = f"{host}:{port}"
-            if name in self.peers:
+            if name in self.peer_addresses:
                 raise ReproError(f"duplicate peer address {name!r}")
-            self.peers[name] = (host, port)
+            self.peer_addresses[name] = (host, port)
         self.ring = HashRing(
-            self.peers,
+            self.peer_addresses,
             vnodes=DEFAULT_VNODES if vnodes is None else vnodes,
         )
         self.peer_timeout_s = peer_timeout_s
-        self.publish_mode = publish if self.peers else "off"
+        self.publish_mode = publish if self.peer_addresses else "off"
         self.publish_fanout = publish_fanout
         self._fetch = fetch if fetch is not None else peers_mod.fetch_entry
         self._push = push if push is not None else peers_mod.publish_entry
@@ -207,12 +208,7 @@ class ClusterStore(ResultCache):
         # publisher thread (everything else runs under the engine's
         # submission lock or on the caller's thread).
         self._peer_lock = threading.Lock()
-        self.peer_hits = 0
-        self.peer_misses = 0
-        self.peer_fetch_errors = 0
-        self.published = 0
-        self.publish_errors = 0
-        self.publish_dropped = 0
+        metrics.zero(self, metrics.STORE)
         self._drop_logged = False
         self._pending = 0
         # One attempt per peer per walk by default (`max_attempts=1`):
@@ -229,7 +225,7 @@ class ClusterStore(ResultCache):
                 failure_threshold=breaker_threshold,
                 reset_timeout_s=breaker_reset_s,
             )
-            for name in self.peers
+            for name in self.peer_addresses
         }
         self._queue: "queue.Queue" = queue.Queue(
             maxsize=PUBLISH_QUEUE_LIMIT
@@ -253,7 +249,7 @@ class ClusterStore(ResultCache):
         one ``peer_miss``.  Never raises.
         """
         found: Dict[str, JobResult] = {}
-        if not self.peers:
+        if not self.peer_addresses:
             return found
         for key in keys:
             result = self._fetch_one(key)
@@ -267,7 +263,7 @@ class ClusterStore(ResultCache):
 
     def _fetch_one(self, key: str) -> Optional[JobResult]:
         for name in self.ring.preference(key):
-            host, port = self.peers[name]
+            host, port = self.peer_addresses[name]
             breaker = self._breakers[name]
             attempt = 0
             while self._breaker_allows(name):
@@ -320,7 +316,7 @@ class ClusterStore(ResultCache):
         local = self.get(
             key, require=require, strip_artifact=strip_artifact
         )
-        if local is not None or not self.peers:
+        if local is not None or not self.peer_addresses:
             return local
         fetched = self._fetch_one(key)
         if fetched is None:
@@ -357,7 +353,7 @@ class ClusterStore(ResultCache):
         super().put(result)
         if (
             self.publish_mode == "off"
-            or not self.peers
+            or not self.peer_addresses
             or result.error is not None
         ):
             return
@@ -377,7 +373,7 @@ class ClusterStore(ResultCache):
         return self.ring.preference(key, limit=limit)
 
     def _deliver(self, name: str, key: str, payload: bytes) -> None:
-        host, port = self.peers[name]
+        host, port = self.peer_addresses[name]
         try:
             self._push(
                 host, port, key, payload, timeout=self.peer_timeout_s
@@ -474,29 +470,31 @@ class ClusterStore(ResultCache):
         return drained
 
     # ------------------------------------------------------------------
-    # Introspection.
+    # Introspection.  The properties are the metrics repro.metrics.STORE
+    # derives from other state; read them through peer_stats(), which
+    # holds the counter lock.
+
+    @property
+    def peers(self) -> int:
+        return len(self.peer_addresses)
+
+    @property
+    def publish_pending(self) -> int:
+        return max(0, self._pending)
+
+    @property
+    def peer_breaker_opened(self) -> int:
+        return sum(b.opened_total for b in self._breakers.values())
+
+    @property
+    def peer_breaker_closed(self) -> int:
+        return sum(b.closed_total for b in self._breakers.values())
+
+    @property
+    def peer_breakers_open(self) -> int:
+        return sum(b.state != "closed" for b in self._breakers.values())
 
     def peer_stats(self) -> Dict[str, int]:
-        """Cluster-tier counters (complements :meth:`stats`)."""
+        """Cluster-tier metrics (complements :meth:`stats`)."""
         with self._peer_lock:
-            return {
-                "peers": len(self.peers),
-                "peer_hits": self.peer_hits,
-                "peer_misses": self.peer_misses,
-                "peer_fetch_errors": self.peer_fetch_errors,
-                "published": self.published,
-                "publish_errors": self.publish_errors,
-                "publish_dropped": self.publish_dropped,
-                "publish_pending": max(0, self._pending),
-                "peer_breaker_opened": sum(
-                    b.opened_total for b in self._breakers.values()
-                ),
-                "peer_breaker_closed": sum(
-                    b.closed_total for b in self._breakers.values()
-                ),
-                "peer_breakers_open": sum(
-                    1
-                    for b in self._breakers.values()
-                    if b.state != "closed"
-                ),
-            }
+            return metrics.read(self, metrics.STORE)

@@ -6,8 +6,10 @@ Three sync contracts:
    module (or an attribute of one);
 2. the CLI flags documented in OPERATIONS.md are exactly the flags
    the ``repro serve`` / ``repro dispatch`` argparsers accept;
-3. every counter in the live ``/metrics`` schemas appears in
-   OPERATIONS.md (and every flag-like token in the docs exists).
+3. the ``/metrics`` tables in OPERATIONS.md and the declarations in
+   :mod:`repro.metrics` name the same metrics, both directions, and
+   every key the live ``/metrics`` payloads carry is documented (and
+   every flag-like token in the docs exists).
 """
 
 import importlib
@@ -16,12 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.dispatch.metrics import CLUSTER_SUM_FIELDS, DispatchMetrics
+from repro import metrics
+from repro.dispatch.metrics import DispatchMetrics
+from repro.engine.cache import ResultCache
 from repro.engine.cli import build_dispatch_parser, build_serve_parser
 from repro.hier.cli import build_hier_parser
 from repro.improve.cli import build_improve_parser
 from repro.serve.server import ScheduleServer
-from repro.store import ClusterStore
 
 DOCS = Path(__file__).resolve().parents[2] / "docs"
 DOC_FILES = sorted(DOCS.glob("*.md"))
@@ -135,8 +138,56 @@ def test_every_doc_flag_is_accepted_somewhere():
             )
 
 
-def test_serve_metrics_counters_documented():
-    """Every key in the live serve /metrics schema is in the runbook."""
+def metrics_table_rows(text: str) -> list:
+    """``(names, meaning)`` per row of every ``/metrics counters`` table."""
+    rows = []
+    for section in text.split("\n### ")[1:]:
+        if not section.startswith("/metrics counters"):
+            continue
+        body = section.split("\n## ", 1)[0]
+        for line in body.splitlines():
+            if line.startswith("| `"):
+                first, meaning = line.split("|")[1:3]
+                rows.append((re.findall(r"`(\w+)`", first), meaning.strip()))
+    return rows
+
+
+def test_metrics_tables_match_declarations():
+    """Every declared metric has a row, every row names declared
+    metrics, and a row says "gauge:" exactly when its metrics are
+    declared gauges."""
+    declared = {}
+    for group in metrics.GROUPS:
+        declared.update(group)
+    operations = doc_text("OPERATIONS.md")
+    rows = metrics_table_rows(operations)
+    documented = {name for names, _ in rows for name in names}
+    missing = set(declared) - documented
+    assert not missing, (
+        f"declared metrics without an OPERATIONS.md row: {sorted(missing)}"
+    )
+    phantom = documented - set(declared)
+    assert not phantom, (
+        "OPERATIONS.md /metrics rows name undeclared metrics: "
+        f"{sorted(phantom)}"
+    )
+    for names, meaning in rows:
+        gauge = meaning.startswith("gauge:")
+        for name in names:
+            assert gauge == (declared[name] == metrics.GAUGE), (
+                f"{name!r} is declared a {declared[name]}, but its "
+                "OPERATIONS.md row says otherwise"
+            )
+    for name in ResultCache().stats():
+        assert f"`{name}`" in operations, (
+            f"engine_cache key {name!r} is undocumented in OPERATIONS.md"
+        )
+
+
+def test_live_metrics_keys_are_documented():
+    """A key an owner puts in its snapshot outside the declarations (a
+    nested section such as ``algorithms`` or ``per_replica``) still
+    needs OPERATIONS.md to name it."""
     operations = doc_text("OPERATIONS.md")
     server = ScheduleServer(
         engine=None,
@@ -144,52 +195,17 @@ def test_serve_metrics_counters_documented():
         publish="off",
     )
     try:
-        snapshot = server.metrics_payload()
+        replica = server.metrics_payload()
     finally:
         server.engine.shutdown()
         server.engine.cache.close(timeout=1.0)
-    for counter in snapshot:
-        assert f"`{counter}`" in operations, (
-            f"serve /metrics key {counter!r} is undocumented in "
-            "OPERATIONS.md"
-        )
-    for counter in snapshot["engine_cache"]:
-        assert f"`{counter}`" in operations
-
-
-def test_dispatch_metrics_counters_documented():
-    operations = doc_text("OPERATIONS.md")
-    for counter in DispatchMetrics().snapshot():
-        assert f"`{counter}`" in operations, (
-            f"router /metrics key {counter!r} is undocumented in "
-            "OPERATIONS.md"
-        )
-
-
-def test_cluster_sum_fields_are_real_serve_counters():
-    """The aggregation field list must match the serve schema, or the
-    cluster section silently sums zeros."""
-    server = ScheduleServer(
-        engine=None,
-        peers=["127.0.0.1:9001"],
-        publish="off",
-    )
-    try:
-        snapshot = server.metrics_payload()
-    finally:
-        server.engine.shutdown()
-        server.engine.cache.close(timeout=1.0)
-    for field in CLUSTER_SUM_FIELDS:
-        assert field in snapshot, (
-            f"CLUSTER_SUM_FIELDS names {field!r}, absent from the "
-            "serve /metrics schema"
-        )
-
-
-def test_peer_store_counters_documented():
-    operations = doc_text("OPERATIONS.md")
-    for counter in ClusterStore([]).peer_stats():
-        assert f"`{counter}`" in operations, (
-            f"peer store counter {counter!r} is undocumented in "
-            "OPERATIONS.md"
-        )
+    declared = {name for group in metrics.GROUPS for name in group}
+    for payload, owner in (
+        (replica, "replica"),
+        (DispatchMetrics().snapshot(), "router"),
+    ):
+        for key in payload:
+            assert key in declared or f"`{key}`" in operations, (
+                f"{owner} /metrics key {key!r} is neither declared in "
+                "repro.metrics nor documented in OPERATIONS.md"
+            )

@@ -134,59 +134,3 @@ def test_run_suite_rejects_engine_with_engine_kwargs():
         bench.run_suite(engine=BatchEngine(), workers=4)
     with pytest.raises(ValueError):
         bench.run_suite(engine=BatchEngine(), cache_dir="/tmp/x")
-
-
-class TestPerfSummary:
-    def test_percentiles_per_algorithm(self, small_report):
-        summary = bench.perf_summary(small_report.results)
-        assert set(summary) == {"list(ready)", "threaded(meta4)"}
-        for entry in summary.values():
-            assert entry["cells"] == 2 and entry["cached"] == 0
-            assert 0 < entry["p50_ms"] <= entry["p95_ms"] <= entry["max_ms"]
-            assert entry["total_ms"] >= entry["max_ms"]
-
-    def test_cached_cells_do_not_poison_percentiles(self, small_report):
-        doctored = [
-            dataclasses.replace(
-                small_report.results[0], cached=True, runtime_s=99.0
-            ),
-            *small_report.results[1:],
-        ]
-        summary = bench.perf_summary(doctored)
-        entry = summary[doctored[0].algorithm]
-        assert entry["cells"] == 1 and entry["cached"] == 1
-        assert entry["max_ms"] < 99_000.0
-
-    def test_perf_round_trips_through_json(self, small_report, tmp_path):
-        report = dataclasses.replace(
-            small_report, perf=bench.perf_summary(small_report.results)
-        )
-        path = tmp_path / "BENCH_results.json"
-        bench.write_report(report, path)
-        loaded = bench.load_report(path)
-        assert loaded.perf == report.perf
-        assert "perf" in json.loads(path.read_text())
-
-    def test_reports_without_perf_stay_lean(self, small_report, tmp_path):
-        path = tmp_path / "BENCH_results.json"
-        bench.write_report(small_report, path)
-        assert "perf" not in json.loads(path.read_text())
-        assert bench.load_report(path).perf is None
-
-    def test_perf_table_renders(self, small_report):
-        report = dataclasses.replace(
-            small_report, perf=bench.perf_summary(small_report.results)
-        )
-        table = report.perf_table()
-        assert "per-algorithm wall time" in table
-        assert "list(ready)" in table
-
-
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert bench.percentile([], 0.5) == 0.0
-
-    def test_nearest_rank(self):
-        samples = [0.5, 0.1, 0.9, 0.3, 0.7]
-        assert bench.percentile(samples, 0.5) == 0.5
-        assert bench.percentile(samples, 0.95) == 0.9

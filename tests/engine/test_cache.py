@@ -1,5 +1,5 @@
 """Tests for the sharded result store: hit/miss semantics, shard
-layout, legacy migration, LRU eviction, corruption, and the index."""
+layout, LRU eviction, corruption, and the index."""
 
 import dataclasses
 import json
@@ -102,26 +102,22 @@ class TestShardLayout:
         # Nothing at the top level but shard directories.
         assert not list(cache_dir.glob("*.json"))
 
-    def test_flat_legacy_entries_migrate_and_hit(self, tmp_path):
+    def test_top_level_entry_is_not_served(self, tmp_path):
+        """Only shard paths hold entries: a ``<key>.json`` at the top
+        level is neither served nor counted, and is left alone."""
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
-        keys = _keys(3)
-        for key in keys:
-            (cache_dir / f"{key}.json").write_text(
-                json.dumps(_result(key=key, length=13).to_dict()),
-                encoding="utf-8",
-            )
-        # Non-entry files are left alone.
-        (cache_dir / "README.json").write_text("{}", encoding="utf-8")
+        stray = cache_dir / ("a" * 64 + ".json")
+        stray.write_text(
+            json.dumps(_result(length=13).to_dict()), encoding="utf-8"
+        )
 
         cache = ResultCache(cache_dir)
-        assert len(cache) == 3
-        for key in keys:
-            hit = cache.get(key)
-            assert hit is not None and hit.length == 13
-            assert _shard_path(cache_dir, key).exists()
-            assert not (cache_dir / f"{key}.json").exists()
-        assert (cache_dir / "README.json").exists()
+        assert ("a" * 64) not in cache
+        assert cache.get("a" * 64) is None
+        assert len(cache) == 0
+        assert cache.index() == {}
+        assert stray.exists()
 
     def test_persists_across_instances(self, tmp_path):
         first = ResultCache(tmp_path / "cache")
@@ -391,28 +387,6 @@ class TestEntryFormat:
         assert fresh.get("a" * 64).length == 8
 
 
-class TestReadOnlyLegacyStore:
-    def test_unmigratable_flat_entries_still_hit(self, tmp_path, monkeypatch):
-        """When migration cannot move a PR-1 flat entry (read-only
-        media), reads fall back to the flat path instead of silently
-        invalidating the whole legacy cache."""
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / ("a" * 64 + ".json")).write_text(
-            json.dumps(_result(length=13).to_dict()), encoding="utf-8"
-        )
-
-        def refuse(*args, **kwargs):
-            raise OSError(30, "Read-only file system")
-
-        monkeypatch.setattr(os, "replace", refuse)
-        cache = ResultCache(cache_dir)
-        assert ("a" * 64) in cache
-        hit = cache.get("a" * 64)
-        assert hit is not None and hit.length == 13
-        assert (cache_dir / ("a" * 64 + ".json")).exists()  # left in place
-
-
 class TestFailureRobustness:
     def test_failed_disk_write_registers_nothing(self, tmp_path, monkeypatch):
         """A put whose disk write fails must not leave a ghost in any
@@ -488,23 +462,6 @@ class TestFailureRobustness:
 
 
 class TestMigrationConflicts:
-    def test_stale_flat_entry_never_clobbers_sharded_entry(self, tmp_path):
-        """A mixed deployment (old binary still writing flat entries)
-        must not destroy the richer sharded entry on the next open."""
-        cache_dir = tmp_path / "cache"
-        rich = _result(length=8, artifact={"format": "x", "ops": {}})
-        ResultCache(cache_dir).put(rich)
-        # An old binary writes a flat, artifact-less entry for the key.
-        (cache_dir / ("a" * 64 + ".json")).write_text(
-            json.dumps(_result(length=13).to_dict()), encoding="utf-8"
-        )
-
-        cache = ResultCache(cache_dir)
-        hit = cache.get("a" * 64)
-        assert hit.length == 8  # the sharded entry survived
-        assert hit.artifact is not None
-        assert not (cache_dir / ("a" * 64 + ".json")).exists()  # retired
-
     def test_bulk_trim_of_large_backlog_is_fast(self, tmp_path):
         """Opening a big unbounded store with a small bound trims in
         one O(n log n) pass, not a min() scan per victim."""
@@ -640,27 +597,6 @@ class TestMigrationConflicts:
         assert len(bounded) == 2
         assert bounded.evictions == 0
 
-    def test_unmigrated_flat_entry_gets_touched(self, tmp_path, monkeypatch):
-        """Hits on a flat-fallback entry refresh its (flat) file mtime
-        so cross-process LRU does not starve it."""
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        flat = cache_dir / ("a" * 64 + ".json")
-        flat.write_text(
-            json.dumps(_result(length=13).to_dict()), encoding="utf-8"
-        )
-
-        def refuse(*args, **kwargs):
-            raise OSError(30, "Read-only file system")
-
-        monkeypatch.setattr(os, "replace", refuse)  # migration fails
-        cache = ResultCache(cache_dir)
-        cache.TOUCH_INTERVAL_S = 0.0
-        os.utime(flat, (1_000_000, 1_000_000))
-        monkeypatch.undo()
-        assert cache.get("a" * 64) is not None
-        assert flat.stat().st_mtime > 2_000_000  # touched in place
-
     def test_require_rejected_peer_entry_still_counted(self, tmp_path):
         """A disk entry loaded into memory but rejected by `require`
         occupies the store and must be visible to len() and the bound."""
@@ -672,42 +608,6 @@ class TestMigrationConflicts:
         writer.put(_result(key=keys[1]))
         assert bounded.get(keys[1], require=lambda r: False) is None
         assert len(bounded) <= 1  # the bound held despite the rejection
-
-    def test_unmigratable_flat_entry_counted_by_index(
-        self, tmp_path, monkeypatch
-    ):
-        """Flat entries that migration could not move still count:
-        len()/index() must agree with `in` (the ISSUE 2 invariant)."""
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / ("a" * 64 + ".json")).write_text(
-            json.dumps(_result(length=13).to_dict()), encoding="utf-8"
-        )
-
-        def refuse(*args, **kwargs):
-            raise OSError(30, "Read-only file system")
-
-        monkeypatch.setattr(os, "replace", refuse)
-        cache = ResultCache(cache_dir)
-        monkeypatch.undo()
-        assert ("a" * 64) in cache
-        assert len(cache) == 1
-        assert sum(s["entries"] for s in cache.index().values()) == 1
-
-    def test_valid_flat_entry_replaces_torn_sharded_entry(self, tmp_path):
-        """Migration must not retire a good flat copy while a torn
-        sharded copy exists — the survivor wins."""
-        cache_dir = tmp_path / "cache"
-        cache = ResultCache(cache_dir)
-        cache.put(_result(length=8))
-        _shard_path(cache_dir, "a" * 64).write_text("{torn", "utf-8")
-        (cache_dir / ("a" * 64 + ".json")).write_text(
-            json.dumps(_result(length=13).to_dict()), encoding="utf-8"
-        )
-
-        fresh = ResultCache(cache_dir)
-        hit = fresh.get("a" * 64)
-        assert hit is not None and hit.length == 13
 
     def test_put_never_clobbers_newer_format_entry(self, tmp_path):
         """A recompute in this process must not destroy a payload only

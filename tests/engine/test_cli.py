@@ -218,15 +218,3 @@ class TestServeArgValidation:
         argv = ["serve", "--cache-dir", str(tmp_path / "c"), "--port", "0"]
         assert main(argv) == 2
         assert "is not writable" in capsys.readouterr().err
-
-
-def test_bench_perf_flag(tmp_path, capsys):
-    out = tmp_path / "perf.json"
-    assert main(["bench", "--perf", "--json", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "per-algorithm wall time" in printed
-    document = json.loads(out.read_text())
-    perf = document["perf"]
-    assert set(perf) >= {"force-directed", "list(ready)"}
-    for entry in perf.values():
-        assert entry["cells"] + entry["cached"] == 5

@@ -53,6 +53,13 @@ class TestExactSmall:
     def test_never_below_critical_path(self, two_two):
         assert exact_schedule(hal(), two_two).length >= diameter(hal())
 
+    def test_bounds_count_from_the_current_step(self):
+        """The BnB cross-check found this DAG: with its lower bounds
+        counted from step 0, the search used up its node budget at 13
+        steps, one above the optimum."""
+        g = random_layered_dag(18, seed=4999)
+        assert exact_schedule(g, ResourceSet.parse("1+/-,1*")).length == 12
+
 
 class TestExactProperty:
     @settings(max_examples=10, deadline=None)

@@ -94,7 +94,7 @@ class TestResultCountGuard:
                     assert "3 jobs" in str(outcome)
                     assert "hanging" in str(outcome)
                 assert coalescer.pending_jobs == 0
-                assert coalescer.metrics.queued_jobs == 0
+                assert coalescer.metrics.queue_depth == 0
                 assert await coalescer.drain(5.0) is True
             finally:
                 coalescer.close()
@@ -132,7 +132,7 @@ class TestResultCountGuard:
                     for outcome in outcomes
                 )
                 assert coalescer.pending_jobs == 0
-                assert coalescer.metrics.queued_jobs == 0
+                assert coalescer.metrics.queue_depth == 0
                 assert await coalescer.drain(5.0) is True
             finally:
                 coalescer.close()
@@ -164,12 +164,12 @@ class TestQueueDepthAccounting:
                         asyncio.get_running_loop().time() < deadline
                     ), "batch never flushed"
                     await asyncio.sleep(0.005)
-                assert coalescer.metrics.queued_jobs == 2
+                assert coalescer.metrics.queue_depth == 2
                 assert coalescer.pending_jobs == 2
                 gate.set()
                 results = await asyncio.gather(*tasks)
                 assert len(results) == 2
-                assert coalescer.metrics.queued_jobs == 0
+                assert coalescer.metrics.queue_depth == 0
                 assert coalescer.pending_jobs == 0
             finally:
                 gate.set()
@@ -214,7 +214,7 @@ class TestFlushTaskCancellation:
                     await waiter
                 assert coalescer.pending_jobs == 0
                 assert coalescer._inflight == {}
-                assert coalescer.metrics.queued_jobs == 0
+                assert coalescer.metrics.queue_depth == 0
                 gate.set()
                 assert await coalescer.drain(5.0) is True
             finally:
@@ -281,7 +281,7 @@ class TestCancellationProperty:
                 assert await coalescer.drain(5.0) is True
                 assert coalescer.pending_jobs == 0
                 assert coalescer._inflight == {}
-                assert coalescer.metrics.queued_jobs == 0
+                assert coalescer.metrics.queue_depth == 0
             finally:
                 coalescer.close()
 

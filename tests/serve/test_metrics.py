@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.serve.metrics import LATENCY_WINDOW, ServiceMetrics, percentile
+from repro.metrics import LATENCY_WINDOW, percentile
+from repro.serve.metrics import ServiceMetrics
 
 
 class TestPercentile:
@@ -17,6 +18,7 @@ class TestPercentile:
         samples = [0.5, 0.1, 0.9, 0.3, 0.7]
         assert percentile(samples, 0.5) == 0.5
         assert percentile(list(reversed(samples)), 0.5) == 0.5
+        assert percentile(samples, 0.95) == 0.9
 
     def test_p95_tracks_tail(self):
         samples = [0.01] * 95 + [1.0] * 5
@@ -61,6 +63,16 @@ class TestServiceMetrics:
         snapshot = metrics.snapshot()
         assert snapshot["latency_p50_ms"] in (10.0, 30.0)
         assert snapshot["latency_p95_ms"] == 30.0
+
+
+    def test_record_scenario_counts_declared_modes_only(self):
+        metrics = ServiceMetrics()
+        metrics.record_scenario("io")
+        metrics.record_scenario("bogus")
+        snapshot = metrics.snapshot()
+        assert snapshot["scenario_io_jobs"] == 1
+        assert "scenario_bogus_jobs" not in snapshot
+        assert not hasattr(metrics, "scenario_bogus_jobs")
 
 
 class TestComputeAccounting:

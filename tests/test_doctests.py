@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import repro.metrics
 import repro.ir.ops
 import repro.ir.builder
 import repro.ir.partition
@@ -21,6 +22,7 @@ import repro.store.cluster
 import repro.store.peers
 
 MODULES = [
+    repro.metrics,
     repro.ir.ops,
     repro.ir.builder,
     repro.ir.partition,
