@@ -20,25 +20,25 @@ Quickstart::
     for r in results:
         print(r.graph, r.algorithm, r.length, r.cached)
 
-Modules: :mod:`~repro.engine.job` (specs, results, algorithm registry),
+Modules: :mod:`~repro.engine.algorithms` (the algorithm table: runners,
+aliases, capabilities), :mod:`~repro.engine.job` (specs and results),
 :mod:`~repro.engine.cache` (memory + sharded, capacity-bounded on-disk
 result store),
 :mod:`~repro.engine.batch` (the engine), :mod:`~repro.engine.sweeps`
 (job sources), :mod:`~repro.engine.bench` (the unified benchmark
 harness behind ``python -m repro bench``), :mod:`~repro.engine.cli`
-(the ``batch``/``bench`` command-line front ends).
+(the ``batch``/``bench``/``serve``/``dispatch`` command-line front
+ends).
 """
 
-from repro.engine.batch import BatchEngine, execute_job
-from repro.engine.cache import ResultCache
-from repro.engine.job import (
+from repro.engine.algorithms import (
     ALGORITHMS,
-    GraphSpec,
-    JobResult,
-    JobSpec,
     algorithm_ids,
     canonical_algorithm,
 )
+from repro.engine.batch import BatchEngine, execute_job
+from repro.engine.cache import ResultCache
+from repro.engine.job import GraphSpec, JobResult, JobSpec
 from repro.engine.keys import CacheKeyResolver, cache_key_for
 from repro.engine.sweeps import cross, random_dag_sweep, registry_sweep
 

@@ -48,10 +48,9 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import faultlab, metrics
+from repro.engine.algorithms import ALGORITHMS, capable, require_capability
 from repro.engine.cache import ResultCache
 from repro.engine.job import (
-    ALGORITHMS,
-    BUDGET_ALGORITHMS,
     GraphSpec,
     JobResult,
     JobSpec,
@@ -131,6 +130,21 @@ def _worker_init() -> None:
     ).start()
 
 
+def _gap_rule(
+    spec: Optional[JobSpec], algorithm: str, num_ops: int, gap_ops_limit: int
+) -> bool:
+    """Does a job get an exact-optimum gap (when gaps are asked for)?
+
+    Constrained jobs (windows or a scenario) never do — the
+    unconstrained exact length is not their baseline — nor does
+    ``exact`` itself or a graph above ``gap_ops_limit`` ops.  ``spec``
+    is ``None`` where only the result is at hand.
+    """
+    if spec is not None and (spec.windows or spec.scenario):
+        return False
+    return algorithm != "exact" and num_ops <= gap_ops_limit
+
+
 def execute_job(
     spec: JobSpec,
     key: str,
@@ -156,7 +170,7 @@ def execute_job(
         faultlab.maybe_crash_worker(f"{key} {spec.graph.describe()}")
     dfg = spec.graph.build()
     resources = spec.resource_set()
-    runner = ALGORITHMS[spec.algorithm]
+    runner = ALGORITHMS[spec.algorithm].runner
     # Threaded scheduling keeps the graph by reference, and refinement
     # passes over its state (spill/wire insertion in repro.core.refine)
     # grow it in place.  No registry runner applies those passes today,
@@ -173,8 +187,8 @@ def execute_job(
         # Constraint kwargs are combinable: a windowed anytime spec
         # carries both `windows` and `budget` to its runner.  Each
         # kwarg rides only on runners whose algorithm family accepts
-        # it (the spec constructor enforces WINDOW_ALGORITHMS /
-        # BUDGET_ALGORITHMS membership); an unconstrained spec still
+        # it (the spec constructor checks the algorithm's `windows`
+        # / `budget` capabilities); an unconstrained spec still
         # runs two-positional so algorithm stubs in tests keep
         # working.  A window naming an op the graph does not have is
         # a structured failure like any other infeasible job, not a
@@ -206,15 +220,12 @@ def execute_job(
     if (
         schedule is not None
         and compute_gap
-        and not spec.windows
-        and not spec.scenario
-        and spec.algorithm != "exact"
-        and num_input_ops <= gap_ops_limit
+        and _gap_rule(spec, spec.algorithm, num_input_ops, gap_ops_limit)
     ):
         # Fresh build: threaded scheduling keeps the graph by reference,
         # so the comparator must not share state with the measured run.
         try:
-            exact = ALGORITHMS["exact"](spec.graph.build(), resources)
+            exact = ALGORITHMS["exact"].runner(spec.graph.build(), resources)
             gap = schedule.length - exact.length
         except SchedulingError:
             gap = None  # the comparator's infeasibility is not the job's
@@ -325,18 +336,9 @@ class BatchEngine:
     def _gap_eligible(
         self, result: JobResult, spec: Optional[JobSpec] = None
     ) -> bool:
-        """Would *this* engine compute a gap for this job?
-
-        Constrained jobs (windows or a scenario) never get a gap — the
-        unconstrained exact length is not their baseline — so when the
-        spec is known they are ineligible regardless of engine config.
-        """
-        if spec is not None and (spec.windows or spec.scenario):
-            return False
-        return (
-            self.compute_gaps
-            and result.algorithm != "exact"
-            and result.num_ops <= self.gap_ops_limit
+        """Would *this* engine compute a gap for this job?"""
+        return self.compute_gaps and _gap_rule(
+            spec, result.algorithm, result.num_ops, self.gap_ops_limit
         )
 
     def _servable(
@@ -401,19 +403,19 @@ class BatchEngine:
         pure function of the spec, so payloads always describe the
         same schedule.
 
-        Anytime keys (:data:`BUDGET_ALGORITHMS`) are rewritten in
-        place as improver jobs tighten the incumbent, so any write may
-        race a strictly better concurrent rewrite (a local improver, a
-        peer publish, a budget-capped recompute).  The better-ranked
-        result wins (see :func:`repro.engine.job.improves_result`);
-        when the incoming one loses, the stored entry is returned
-        *unchanged* — its identity signals refusal — and payloads only
-        merge between results of equal length, because a gap or
-        artifact is only valid for the schedule it was computed
-        against.
+        Anytime keys (algorithms with the ``budget`` capability) are
+        rewritten in place as improver jobs tighten the incumbent, so
+        any write may race a strictly better concurrent rewrite (a
+        local improver, a peer publish, a budget-capped recompute).
+        The better-ranked result wins (see
+        :func:`repro.engine.job.improves_result`); when the incoming
+        one loses, the stored entry is returned *unchanged* — its
+        identity signals refusal — and payloads only merge between
+        results of equal length, because a gap or artifact is only
+        valid for the schedule it was computed against.
         """
         if (
-            result.algorithm not in BUDGET_ALGORITHMS
+            result.algorithm not in capable("budget")
             or old is None
             or not old.ok
         ):
@@ -683,12 +685,12 @@ class BatchEngine:
         """
         if result.error is not None:
             return False
-        if result.algorithm not in BUDGET_ALGORITHMS:
-            raise SchedulingError(
-                f"rewrite_result only applies to anytime algorithms "
-                f"({', '.join(sorted(BUDGET_ALGORITHMS))}), "
-                f"got {result.algorithm!r}"
-            )
+        require_capability(
+            result.algorithm,
+            "budget",
+            "rewrite_result only applies to anytime algorithms "
+            "({known}), got {algorithm!r}",
+        )
         with self._lock:
             old = self._peek_entry(result.key)
             stored = self._store_candidate(result, old)

@@ -334,23 +334,6 @@ class ResultCache:
         stat, confirmed = self._stat_entry(key)
         return stat is None and confirmed
 
-    def _foreign_entry(self, path: Path) -> bool:
-        """Whether ``path`` holds an entry of a *newer* format version.
-
-        Such entries are never overwritten or deleted by normal cache
-        traffic — a recompute in this process must not destroy a
-        payload only a newer engine can read.  Corrupt or absent files
-        are not foreign (they are this version's to manage).
-        """
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return False
-        return (
-            isinstance(data, dict)
-            and data.get("format") not in (None, ENTRY_FORMAT)
-        )
-
     def _foreign_key(self, key: str) -> bool:
         """Format knowledge for ``key``, from the session memo when
         available, else one read of the entry.

@@ -1,10 +1,11 @@
-"""``python -m repro {batch,bench,serve}`` commands.
+"""``python -m repro {batch,bench,serve,dispatch}`` commands.
 
 Kept separate from :mod:`repro.__main__` so the argparse plumbing for
-the engine lives next to the engine.  Every entry point returns a
-process exit code (0 ok, 1 regression, 2 usage/library error) and
-never leaks tracebacks for anticipated failures — ``__main__``
-converts :class:`~repro.errors.ReproError` into exit code 2.
+the engine lives next to the engine; ``__main__`` holds the only
+command table.  Every entry point returns a process exit code (0 ok,
+1 regression, 2 usage/library error) and never leaks tracebacks for
+anticipated failures — ``__main__`` converts
+:class:`~repro.errors.ReproError` into exit code 2.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ReproError
 from repro.engine import bench as bench_mod
+from repro.engine.algorithms import (
+    DEFAULT_ALGORITHM,
+    algorithm_ids,
+    canonical_algorithm,
+)
 from repro.engine.batch import BatchEngine
-from repro.engine.job import GraphSpec, algorithm_ids, canonical_algorithm
+from repro.engine.job import GraphSpec
 from repro.engine.sweeps import cross, random_dag_sweep
 from repro.graphs.registry import graph_names
 
@@ -155,7 +161,7 @@ def cmd_batch(args: Sequence[str]) -> int:
         default=None,
         help=(
             "algorithm id or alias, repeatable (default: "
-            "threaded(meta2)); known: " + ", ".join(algorithm_ids())
+            f"{DEFAULT_ALGORITHM}); known: " + ", ".join(algorithm_ids())
         ),
     )
     parser.add_argument(
@@ -189,7 +195,7 @@ def cmd_batch(args: Sequence[str]) -> int:
     constraints = opts.resources or ["2+/-,2*"]
     algorithms = [
         canonical_algorithm(algo)
-        for algo in (opts.algorithms or ["threaded(meta2)"])
+        for algo in (opts.algorithms or [DEFAULT_ALGORITHM])
     ]
 
     jobs = []
@@ -682,51 +688,3 @@ def cmd_dispatch(args: Sequence[str]) -> int:
         breaker_threshold=opts.breaker_threshold,
         breaker_reset_s=opts.breaker_reset,
     )
-
-
-def cmd_hier(args: Sequence[str]) -> int:
-    """Run the hierarchical scheduling orchestrator (see repro.hier)."""
-    # Local import: repro.hier pulls in the orchestration layer, which
-    # the plain batch/bench/serve commands never need.
-    from repro.hier.cli import cmd_hier as run_hier
-
-    return run_hier(args)
-
-
-def cmd_improve(args: Sequence[str]) -> int:
-    """Run the anytime improver (see repro.improve)."""
-    # Local import, same reason as cmd_hier.
-    from repro.improve.cli import cmd_improve as run_improve
-
-    return run_improve(args)
-
-
-_HANDLERS = {
-    "batch": cmd_batch,
-    "bench": cmd_bench,
-    "serve": cmd_serve,
-    "dispatch": cmd_dispatch,
-    "hier": cmd_hier,
-    "improve": cmd_improve,
-}
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Direct entry point (``python -m repro.engine.cli bench ...``)."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] not in _HANDLERS:
-        print(
-            "usage: repro.engine.cli "
-            "{batch,bench,serve,dispatch,hier,improve} ...",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        return _HANDLERS[argv[0]](argv[1:])
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.core.scheduler import threaded_schedule
+from repro.engine.algorithms import (
+    FDS_SLACK,  # noqa: F401  (long-standing import path)
+    canonical_algorithm,
+    require_capability,
+)
 from repro.errors import SchedulingError
 from repro.graphs.random_dags import (
     random_expression_dag,
@@ -32,14 +36,8 @@ from repro.engine.scenario import (
     scenario_key_text,
 )
 from repro.graphs.registry import get_graph
-from repro.ir.analysis import diameter
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.serialize import dumps_dfg, loads_dfg
-from repro.scheduling.base import Schedule
-from repro.scheduling.bnb import bnb_anytime_schedule
-from repro.scheduling.exact import exact_schedule
-from repro.scheduling.force_directed import force_directed_schedule
-from repro.scheduling.list_scheduler import ListPriority, list_schedule
 from repro.scheduling.resources import ResourceSet
 
 # ----------------------------------------------------------------------
@@ -128,176 +126,12 @@ class GraphSpec:
 
 
 # ----------------------------------------------------------------------
-# Algorithm registry.
+# Jobs and results.
 # ----------------------------------------------------------------------
-
-#: Extra latency slack granted to (time-constrained) force-directed
-#: scheduling over the critical path, matching the ablation benches.
-FDS_SLACK = 3
-
 
 #: Per-op start-window pins as stored on a spec: sorted
 #: ``((op, (lo, hi)), ...)`` pairs (hashable for coalescing).
 Windows = Tuple[Tuple[str, Tuple[int, int]], ...]
-
-
-def _run_list_ready(
-    dfg: DataFlowGraph,
-    resources: ResourceSet,
-    windows: Optional[Dict[str, Tuple[int, int]]] = None,
-) -> Schedule:
-    return list_schedule(
-        dfg, resources, ListPriority.READY_ORDER, windows=windows
-    )
-
-
-def _run_list_cp(
-    dfg: DataFlowGraph,
-    resources: ResourceSet,
-    windows: Optional[Dict[str, Tuple[int, int]]] = None,
-) -> Schedule:
-    return list_schedule(
-        dfg, resources, ListPriority.SINK_DISTANCE, windows=windows
-    )
-
-
-def _windowed_latency(
-    dfg: DataFlowGraph, windows: Optional[Dict[str, Tuple[int, int]]]
-) -> int:
-    """FDS latency bound that leaves room for every window upper pin.
-
-    ``hi[i] = latency - tdist[i]`` in the frame engine, so honouring a
-    pin ``start <= whi`` needs ``latency >= whi + tdist``; anything
-    less would make the pinned frame infeasible before scheduling even
-    starts.
-    """
-    latency = diameter(dfg) + FDS_SLACK
-    if windows:
-        view = dfg.view()
-        tdist = view.sink_distance_array()
-        index = view.index
-        for op, (_lo, hi) in windows.items():
-            need = hi + tdist[index[op]]
-            if need > latency:
-                latency = need
-    return latency
-
-
-def _run_fds(
-    dfg: DataFlowGraph,
-    resources: ResourceSet,
-    windows: Optional[Dict[str, Tuple[int, int]]] = None,
-) -> Schedule:
-    return force_directed_schedule(
-        dfg,
-        resources,
-        latency=_windowed_latency(dfg, windows),
-        windows=windows,
-    )
-
-
-def _run_hier(dfg: DataFlowGraph, resources: ResourceSet) -> Schedule:
-    # Local import: repro.hier builds on this module's JobSpec.
-    from repro.hier.orchestrator import hier_schedule
-
-    return hier_schedule(dfg, resources).schedule
-
-
-def _run_exact(dfg: DataFlowGraph, resources: ResourceSet) -> Schedule:
-    return exact_schedule(dfg, resources)
-
-
-#: Node budget applied when a ``bnb-anytime`` job arrives with no
-#: explicit budget, so plain batch/serve requests stay bounded on
-#: graphs the proof search cannot close quickly.  The improver tier
-#: passes explicit budgets and rewrites the same canonical entry as
-#: it tightens the incumbent.
-DEFAULT_BNB_NODE_BUDGET = 400_000
-
-
-def _run_bnb(
-    dfg: DataFlowGraph,
-    resources: ResourceSet,
-    budget: Optional[Dict[str, int]] = None,
-    windows: Optional[Dict[str, Tuple[int, int]]] = None,
-) -> Schedule:
-    run = dict(budget) if budget else {"nodes": DEFAULT_BNB_NODE_BUDGET}
-    return bnb_anytime_schedule(dfg, resources, budget=run, windows=windows)
-
-
-def _make_threaded(meta: str):
-    def run(dfg: DataFlowGraph, resources: ResourceSet) -> Schedule:
-        return threaded_schedule(dfg, resources, meta=meta)
-
-    return run
-
-
-#: Canonical algorithm id -> runner ``(dfg, resources) -> Schedule``.
-ALGORITHMS: Dict[str, Callable[[DataFlowGraph, ResourceSet], Schedule]] = {
-    "list(ready)": _run_list_ready,
-    "list(critical-path)": _run_list_cp,
-    "force-directed": _run_fds,
-    "threaded(meta1)": _make_threaded("meta1-dfs"),
-    "threaded(meta2)": _make_threaded("meta2-topological"),
-    "threaded(meta3)": _make_threaded("meta3-paths"),
-    "threaded(meta4)": _make_threaded("meta4-list-order"),
-    "exact": _run_exact,
-    "bnb-anytime": _run_bnb,
-    "hier-fds": _run_hier,
-}
-
-#: Algorithms whose runners accept per-op window constraints (a
-#: ``windows=`` keyword).  ``JobSpec.make`` rejects windows on any
-#: other algorithm before a job is built.  ``bnb-anytime`` treats the
-#: window bounds as hard (prunes branches that violate them), the
-#: list/FDS heuristics treat ``lo`` as hard release and ``hi`` as
-#: advisory — same contract as hierarchical boundary windows.
-WINDOW_ALGORITHMS = frozenset(
-    {"list(ready)", "list(critical-path)", "force-directed", "bnb-anytime"}
-)
-
-#: Algorithms whose runners accept a search budget (a ``budget=``
-#: keyword) and whose cached results carry anytime metadata
-#: (``artifact.meta.bnb``).  ``JobSpec.make`` rejects budgets on any
-#: other algorithm, and the engine's in-place rewrite guard only
-#: applies to these.
-BUDGET_ALGORITHMS = frozenset({"bnb-anytime"})
-
-_ALGORITHM_ALIASES = {
-    "list": "list(ready)",
-    "list-ready": "list(ready)",
-    "ready": "list(ready)",
-    "list-cp": "list(critical-path)",
-    "critical-path": "list(critical-path)",
-    "fds": "force-directed",
-    "meta1": "threaded(meta1)",
-    "meta2": "threaded(meta2)",
-    "meta3": "threaded(meta3)",
-    "meta4": "threaded(meta4)",
-    "threaded": "threaded(meta2)",
-    "threaded-meta1": "threaded(meta1)",
-    "threaded-meta2": "threaded(meta2)",
-    "threaded-meta3": "threaded(meta3)",
-    "threaded-meta4": "threaded(meta4)",
-    "bnb": "exact",
-    "anytime": "bnb-anytime",
-    "hier": "hier-fds",
-}
-
-
-def canonical_algorithm(name: str) -> str:
-    """Resolve an algorithm name or alias to its canonical id."""
-    key = name.strip().lower()
-    key = _ALGORITHM_ALIASES.get(key, key)
-    if key not in ALGORITHMS:
-        known = ", ".join(sorted(ALGORITHMS))
-        raise SchedulingError(f"unknown algorithm {name!r}; known: {known}")
-    return key
-
-
-# ----------------------------------------------------------------------
-# Jobs and results.
-# ----------------------------------------------------------------------
 
 
 def _normalize_windows(windows, algorithm: str) -> Windows:
@@ -306,16 +140,16 @@ def _normalize_windows(windows, algorithm: str) -> Windows:
     Accepts a ``{op: (lo, hi)}`` mapping or an iterable of pairs and
     returns the sorted, hashable tuple form.  Raises
     :class:`SchedulingError` on malformed bounds, duplicate ops, or an
-    algorithm outside :data:`WINDOW_ALGORITHMS`.
+    algorithm without the ``windows`` capability.
     """
     if not windows:
         return ()
-    if algorithm not in WINDOW_ALGORITHMS:
-        known = ", ".join(sorted(WINDOW_ALGORITHMS))
-        raise SchedulingError(
-            f"algorithm {algorithm!r} does not support window "
-            f"constraints; window-capable algorithms: {known}"
-        )
+    require_capability(
+        algorithm,
+        "windows",
+        "algorithm {algorithm!r} does not support window constraints; "
+        "window-capable algorithms: {known}",
+    )
     items = windows.items() if isinstance(windows, dict) else windows
     normalized = []
     for op, bounds in items:
@@ -362,17 +196,17 @@ def _normalize_budget(budget, algorithm: str) -> Budget:
     Accepts a ``{"nodes": N, "deadline_ms": M}`` mapping (either key
     optional) or an iterable of pairs and returns the sorted, hashable
     tuple form.  Raises :class:`SchedulingError` on unknown fields,
-    non-positive values, duplicates, or an algorithm outside
-    :data:`BUDGET_ALGORITHMS`.
+    non-positive values, duplicates, or an algorithm without the
+    ``budget`` capability.
     """
     if not budget:
         return ()
-    if algorithm not in BUDGET_ALGORITHMS:
-        known = ", ".join(sorted(BUDGET_ALGORITHMS))
-        raise SchedulingError(
-            f"algorithm {algorithm!r} does not support a search "
-            f"budget; budget-capable algorithms: {known}"
-        )
+    require_capability(
+        algorithm,
+        "budget",
+        "algorithm {algorithm!r} does not support a search budget; "
+        "budget-capable algorithms: {known}",
+    )
     items = budget.items() if isinstance(budget, dict) else budget
     normalized = []
     for field, value in items:
@@ -461,9 +295,7 @@ class JobSpec:
             algorithm=algorithm_id,
             windows=_normalize_windows(windows, algorithm_id),
             budget=_normalize_budget(budget, algorithm_id),
-            scenario=normalize_scenario(
-                scenario, algorithm_id, WINDOW_ALGORITHMS
-            ),
+            scenario=normalize_scenario(scenario, algorithm_id),
         )
 
     def resource_set(self) -> ResourceSet:
@@ -679,8 +511,3 @@ def improves_result(new: JobResult, old: JobResult) -> bool:
     if not old.ok:
         return True
     return anytime_rank(new) > anytime_rank(old)
-
-
-def algorithm_ids() -> List[str]:
-    """Canonical algorithm ids, stable order."""
-    return list(ALGORITHMS)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.engine.algorithms import require_capability
 from repro.errors import SchedulingError
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.reliability import apply_reliability
@@ -50,15 +51,6 @@ Scenario = Tuple[Tuple[str, Any], ...]
 
 #: Every recognized scenario mode (the ``/metrics`` counter namespace).
 SCENARIO_MODES = ("io", "memory", "reliability")
-
-#: Algorithms whose runners honour banked-memory conflicts.  The list
-#: scheduler allocates ports within the op's bank; force-directed
-#: balances per-bank distribution graphs.  Search-based runners
-#: (exact, bnb) bound work by total unit counts and would silently
-#: ignore banking, so the spec refuses them up front.
-MEMORY_SCENARIO_ALGORITHMS = frozenset(
-    {"list(ready)", "list(critical-path)", "force-directed"}
-)
 
 _MODE_FIELDS = {
     "memory": frozenset({"mode", "banks", "ports"}),
@@ -79,20 +71,17 @@ def _positive_int(value: Any, what: str) -> int:
     return value
 
 
-def normalize_scenario(
-    scenario, algorithm: str, window_algorithms
-) -> Scenario:
+def normalize_scenario(scenario, algorithm: str) -> Scenario:
     """Validate and canonicalize a scenario for a spec.
 
     Accepts a ``{"mode": ..., ...}`` mapping or an iterable of pairs
     (the already-normalized tuple form round-trips) and returns the
     sorted, hashable tuple form.  Raises :class:`SchedulingError` on
     unknown modes/fields, malformed values, or an algorithm the mode
-    does not support — ``io`` needs a window-capable algorithm
-    (``window_algorithms`` is passed in by the spec layer to avoid an
-    import cycle), ``memory`` one of
-    :data:`MEMORY_SCENARIO_ALGORITHMS`; ``reliability`` is a pure
-    graph transform and rides any algorithm.
+    does not support — ``io`` needs the ``windows`` capability,
+    ``memory`` the ``banked_mem`` one (see
+    :data:`~repro.engine.algorithms.ALGORITHMS`); ``reliability`` is a
+    pure graph transform and rides any algorithm.
     """
     if not scenario:
         return ()
@@ -118,24 +107,24 @@ def normalize_scenario(
         )
 
     if mode == "memory":
-        if algorithm not in MEMORY_SCENARIO_ALGORITHMS:
-            known = ", ".join(sorted(MEMORY_SCENARIO_ALGORITHMS))
-            raise SchedulingError(
-                f"algorithm {algorithm!r} does not account banked-"
-                f"memory conflicts; memory-capable algorithms: {known}"
-            )
+        require_capability(
+            algorithm,
+            "banked_mem",
+            "algorithm {algorithm!r} does not account banked-memory "
+            "conflicts; memory-capable algorithms: {known}",
+        )
         banks = _positive_int(data.get("banks"), "banks")
         ports = _positive_int(data.get("ports"), "ports")
         return (("banks", banks), ("mode", "memory"), ("ports", ports))
 
     if mode == "io":
-        if algorithm not in window_algorithms:
-            known = ", ".join(sorted(window_algorithms))
-            raise SchedulingError(
-                f"algorithm {algorithm!r} does not support window "
-                f"constraints, which the io scenario lowers onto; "
-                f"window-capable algorithms: {known}"
-            )
+        require_capability(
+            algorithm,
+            "windows",
+            "algorithm {algorithm!r} does not support window "
+            "constraints, which the io scenario lowers onto; "
+            "window-capable algorithms: {known}",
+        )
         raw = data.get("pins")
         try:
             pin_items = list(

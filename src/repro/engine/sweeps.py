@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Sequence
 
+from repro.engine.algorithms import DEFAULT_ALGORITHM
 from repro.engine.job import GraphSpec, JobSpec
 from repro.graphs.registry import graph_names
 
 DEFAULT_CONSTRAINTS: Sequence[str] = ("2+/-,2*",)
-DEFAULT_ALGORITHMS: Sequence[str] = ("threaded(meta2)",)
+DEFAULT_ALGORITHMS: Sequence[str] = (DEFAULT_ALGORITHM,)
 
 
 def cross(

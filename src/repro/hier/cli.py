@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.engine.job import FDS_SLACK, WINDOW_ALGORITHMS
+from repro.engine.algorithms import FDS_SLACK, capable
 from repro.errors import ReproError
 from repro.graphs.random_dags import random_hier_dag
 from repro.graphs.registry import get_graph
@@ -85,7 +85,7 @@ def build_hier_parser() -> argparse.ArgumentParser:
         metavar="ALGO",
         help=(
             "window-capable subgraph algorithm (default force-directed); "
-            "known: " + ", ".join(sorted(WINDOW_ALGORITHMS))
+            "known: " + ", ".join(capable("windows"))
         ),
     )
     parser.add_argument(

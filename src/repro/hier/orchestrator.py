@@ -49,15 +49,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.batch import BatchEngine, execute_job
-from repro.engine.job import (
+from repro.engine.algorithms import (
     FDS_SLACK,
-    GraphSpec,
-    JobResult,
-    JobSpec,
-    WINDOW_ALGORITHMS,
     canonical_algorithm,
+    require_capability,
 )
+from repro.engine.batch import BatchEngine, execute_job
+from repro.engine.job import GraphSpec, JobResult, JobSpec
 from repro.errors import SchedulingError
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.partition import (
@@ -303,8 +301,8 @@ class HierOrchestrator:
         Constraint for every subgraph job (notation string or
         :class:`ResourceSet`).
     algorithm:
-        Subgraph scheduling algorithm; must accept window constraints
-        (one of :data:`~repro.engine.job.WINDOW_ALGORITHMS`).
+        Subgraph scheduling algorithm; must have the ``windows``
+        capability (see :data:`~repro.engine.algorithms.ALGORITHMS`).
     max_ops / num_parts / refine_passes:
         Forwarded to :func:`~repro.ir.partition.partition_graph`.
     max_rounds:
@@ -334,13 +332,12 @@ class HierOrchestrator:
         else:
             self.resources = ResourceSet.parse(resources).notation()
         self.algorithm = canonical_algorithm(algorithm)
-        if self.algorithm not in WINDOW_ALGORITHMS:
-            known = ", ".join(sorted(WINDOW_ALGORITHMS))
-            raise SchedulingError(
-                f"hierarchical scheduling needs a window-capable "
-                f"subgraph algorithm, not {self.algorithm!r}; "
-                f"choose one of: {known}"
-            )
+        require_capability(
+            self.algorithm,
+            "windows",
+            "hierarchical scheduling needs a window-capable subgraph "
+            "algorithm, not {algorithm!r}; choose one of: {known}",
+        )
         if max_rounds < 1:
             raise SchedulingError(
                 f"max_rounds must be >= 1, got {max_rounds}"

@@ -49,6 +49,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict
 
+from repro.engine.algorithms import DEFAULT_ALGORITHM
 from repro.engine.job import JobResult, JobSpec
 from repro.errors import ReproError
 from repro.graphs.registry import graph_names
@@ -58,7 +59,6 @@ from repro.ir.serialize import dfg_from_dict
 RESPONSE_FORMAT = "repro-serve-v1"
 
 DEFAULT_RESOURCES = "2+/-,2*"
-DEFAULT_ALGORITHM = "threaded(meta2)"
 
 _REQUEST_FIELDS = frozenset(
     {

@@ -1,6 +1,6 @@
 """Keep docs/*.md and the code from drifting apart.
 
-Three sync contracts:
+Four sync contracts:
 
 1. every dotted ``repro.*`` reference in the docs resolves to a real
    module (or an attribute of one);
@@ -9,7 +9,10 @@ Three sync contracts:
 3. the ``/metrics`` tables in OPERATIONS.md and the declarations in
    :mod:`repro.metrics` name the same metrics, both directions, and
    every key the live ``/metrics`` payloads carry is documented (and
-   every flag-like token in the docs exists).
+   every flag-like token in the docs exists);
+4. the algorithm table in ARCHITECTURE.md and the declarations in
+   :mod:`repro.engine.algorithms` name the same algorithms, aliases,
+   and capabilities, both directions.
 """
 
 import importlib
@@ -20,6 +23,7 @@ import pytest
 
 from repro import metrics
 from repro.dispatch.metrics import DispatchMetrics
+from repro.engine.algorithms import ALGORITHMS
 from repro.engine.cache import ResultCache
 from repro.engine.cli import build_dispatch_parser, build_serve_parser
 from repro.hier.cli import build_hier_parser
@@ -78,7 +82,7 @@ def test_module_references_resolve(path):
 def section_of(text: str, heading: str) -> str:
     """The body between ``## heading`` and the next ``## `` heading."""
     marker = f"## {heading}"
-    assert marker in text, f"OPERATIONS.md lost its {marker!r} section"
+    assert marker in text, f"the doc lost its {marker!r} section"
     body = text.split(marker, 1)[1]
     follow = re.search(r"\n## [^#]", body)
     return body[: follow.start()] if follow else body
@@ -209,3 +213,27 @@ def test_live_metrics_keys_are_documented():
                 f"{owner} /metrics key {key!r} is neither declared in "
                 "repro.metrics nor documented in OPERATIONS.md"
             )
+
+
+def test_algorithm_table_matches_declarations():
+    """ARCHITECTURE.md has one row per declared algorithm, in
+    declaration order, naming exactly its aliases and capabilities."""
+    section = section_of(doc_text("ARCHITECTURE.md"), "Scheduling algorithms")
+    documented = [
+        line for line in section.splitlines() if line.startswith("| `")
+    ]
+    declared = [
+        f"| `{algorithm_id}` | "
+        + ", ".join(f"`{alias}`" for alias in algorithm.aliases)
+        + "".join(
+            " | yes" if flag else " | no"
+            for flag in (
+                algorithm.windows,
+                algorithm.budget,
+                algorithm.banked_mem,
+            )
+        )
+        + " |"
+        for algorithm_id, algorithm in ALGORITHMS.items()
+    ]
+    assert documented == declared

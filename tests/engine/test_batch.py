@@ -143,7 +143,7 @@ def test_num_ops_identical_across_algorithms():
     """num_ops is an *input graph* fact: every algorithm on the same
     graph must report the same count, regardless of in-place soft-
     scheduling refinements."""
-    from repro.engine.job import algorithm_ids
+    from repro.engine.algorithms import algorithm_ids
 
     jobs = [
         JobSpec.make("hal", "2+/-,2*", algo) for algo in algorithm_ids()
@@ -390,7 +390,9 @@ def test_gap_warmed_store_does_not_leak_into_plain_run(tmp_path):
 def test_num_ops_and_insertions_with_graph_growing_runner(monkeypatch):
     """Pin the sampling-before-run behavior with a runner that actually
     grows the graph in place (as refinement-enabled runners will)."""
-    from repro.engine.job import ALGORITHMS
+    from dataclasses import replace
+
+    from repro.engine.algorithms import ALGORITHMS
     from repro.ir.ops import OpKind
     from repro.scheduling.list_scheduler import ListPriority, list_schedule
 
@@ -399,7 +401,11 @@ def test_num_ops_and_insertions_with_graph_growing_runner(monkeypatch):
         assert grown is not None
         return list_schedule(dfg, resources, ListPriority.READY_ORDER)
 
-    monkeypatch.setitem(ALGORITHMS, "list(ready)", growing_runner)
+    monkeypatch.setitem(
+        ALGORITHMS,
+        "list(ready)",
+        replace(ALGORITHMS["list(ready)"], runner=growing_runner),
+    )
     engine = BatchEngine(capture_schedules=True, compute_gaps=True)
     (result,) = engine.run([JobSpec.make("hal", "2+/-,2*", "list")])
     # num_ops and gap eligibility reflect the 11-op input, not the

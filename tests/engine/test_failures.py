@@ -1,7 +1,10 @@
 """Structured per-job failures: a SchedulingError never aborts a batch."""
 
+from dataclasses import replace
+
+from repro.engine.algorithms import ALGORITHMS
 from repro.engine.batch import BatchEngine
-from repro.engine.job import ALGORITHMS, JobResult, JobSpec
+from repro.engine.job import JobResult, JobSpec
 from repro.errors import SchedulingError
 from repro.graphs import hal
 from repro.ir import DataFlowGraph, OpKind
@@ -45,7 +48,11 @@ class TestStructuredFailures:
                 "infeasible frame for m1: [3, 2] within latency 5"
             )
 
-        monkeypatch.setitem(ALGORITHMS, "force-directed", exploding_fds)
+        monkeypatch.setitem(
+            ALGORITHMS,
+            "force-directed",
+            replace(ALGORITHMS["force-directed"], runner=exploding_fds),
+        )
         engine = BatchEngine()
         results = engine.run(
             [
@@ -84,7 +91,11 @@ class TestStructuredFailures:
         def exploding_exact(dfg, resources):
             raise SchedulingError("comparator down")
 
-        monkeypatch.setitem(ALGORITHMS, "exact", exploding_exact)
+        monkeypatch.setitem(
+            ALGORITHMS,
+            "exact",
+            replace(ALGORITHMS["exact"], runner=exploding_exact),
+        )
         engine = BatchEngine(compute_gaps=True)
         result = engine.run([JobSpec.make("HAL", "2+/-,2*", "list")])[0]
         assert result.ok

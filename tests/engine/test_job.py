@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.engine.algorithms import ALGORITHMS, algorithm_ids
 from repro.engine.job import (
     GraphSpec,
     JobResult,
@@ -54,17 +55,63 @@ class TestGraphSpec:
             )
 
 
+#: Every declared alias and the canonical id it resolves to.
+ALIASES = {
+    "list": "list(ready)",
+    "list-ready": "list(ready)",
+    "ready": "list(ready)",
+    "list-cp": "list(critical-path)",
+    "critical-path": "list(critical-path)",
+    "fds": "force-directed",
+    "meta1": "threaded(meta1)",
+    "meta2": "threaded(meta2)",
+    "meta3": "threaded(meta3)",
+    "meta4": "threaded(meta4)",
+    "threaded": "threaded(meta2)",
+    "threaded-meta1": "threaded(meta1)",
+    "threaded-meta2": "threaded(meta2)",
+    "threaded-meta3": "threaded(meta3)",
+    "threaded-meta4": "threaded(meta4)",
+    "bnb": "exact",
+    "anytime": "bnb-anytime",
+    "hier": "hier-fds",
+}
+
+#: The constraints each canonical id accepts; every other one is
+#: refused at ``JobSpec.make``.
+ACCEPTS = {
+    "list(ready)": {"windows", "memory", "io"},
+    "list(critical-path)": {"windows", "memory", "io"},
+    "force-directed": {"windows", "memory", "io"},
+    "threaded(meta1)": set(),
+    "threaded(meta2)": set(),
+    "threaded(meta3)": set(),
+    "threaded(meta4)": set(),
+    "exact": set(),
+    "bnb-anytime": {"windows", "budget", "io"},
+    "hier-fds": set(),
+}
+
+CONSTRAINTS = {
+    "windows": {"windows": {"a1": (0, 3)}},
+    "budget": {"budget": {"nodes": 100}},
+    "memory": {"scenario": {"mode": "memory", "banks": 2, "ports": 1}},
+    "io": {"scenario": {"mode": "io", "pins": {"a1": 0}}},
+}
+
+WINDOW_CAPABLE = (
+    "bnb-anytime, force-directed, list(critical-path), list(ready)"
+)
+
+
 class TestAlgorithms:
     @pytest.mark.parametrize(
         "alias,canonical",
-        [
-            ("list", "list(ready)"),
+        sorted(ALIASES.items())
+        + [
             ("LIST-CP", "list(critical-path)"),
-            ("fds", "force-directed"),
-            ("meta4", "threaded(meta4)"),
             ("threaded(meta2)", "threaded(meta2)"),
             ("exact", "exact"),
-            ("anytime", "bnb-anytime"),
             ("bnb-anytime", "bnb-anytime"),
         ],
     )
@@ -74,6 +121,57 @@ class TestAlgorithms:
     def test_unknown_algorithm(self):
         with pytest.raises(SchedulingError):
             canonical_algorithm("simulated-annealing")
+
+    def test_tables_cover_every_declaration(self):
+        declared = {
+            alias: algorithm_id
+            for algorithm_id, algorithm in ALGORITHMS.items()
+            for alias in algorithm.aliases
+        }
+        assert declared == ALIASES
+        assert list(ACCEPTS) == algorithm_ids()
+
+    @pytest.mark.parametrize("constraint", sorted(CONSTRAINTS))
+    @pytest.mark.parametrize("algorithm", sorted(ACCEPTS))
+    def test_capability_matrix(self, algorithm, constraint):
+        kwargs = CONSTRAINTS[constraint]
+        if constraint in ACCEPTS[algorithm]:
+            JobSpec.make("HAL", "2+/-,2*", algorithm, **kwargs)
+        else:
+            with pytest.raises(SchedulingError):
+                JobSpec.make("HAL", "2+/-,2*", algorithm, **kwargs)
+
+    @pytest.mark.parametrize(
+        "constraint,message",
+        [
+            (
+                "windows",
+                "algorithm 'exact' does not support window constraints; "
+                f"window-capable algorithms: {WINDOW_CAPABLE}",
+            ),
+            (
+                "budget",
+                "algorithm 'exact' does not support a search budget; "
+                "budget-capable algorithms: bnb-anytime",
+            ),
+            (
+                "memory",
+                "algorithm 'exact' does not account banked-memory "
+                "conflicts; memory-capable algorithms: force-directed, "
+                "list(critical-path), list(ready)",
+            ),
+            (
+                "io",
+                "algorithm 'exact' does not support window constraints, "
+                "which the io scenario lowers onto; window-capable "
+                f"algorithms: {WINDOW_CAPABLE}",
+            ),
+        ],
+    )
+    def test_rejection_text(self, constraint, message):
+        with pytest.raises(SchedulingError) as excinfo:
+            JobSpec.make("HAL", "2+/-,2*", "exact", **CONSTRAINTS[constraint])
+        assert str(excinfo.value) == message
 
 
 class TestJobSpec:

@@ -5,10 +5,10 @@ import hashlib
 
 import pytest
 
+from repro.engine.algorithms import capable
 from repro.engine.batch import BatchEngine, execute_job
-from repro.engine.job import WINDOW_ALGORITHMS, JobSpec
+from repro.engine.job import JobSpec
 from repro.engine.scenario import (
-    MEMORY_SCENARIO_ALGORITHMS,
     SCENARIO_MODES,
     lower_scenario,
     normalize_scenario,
@@ -22,7 +22,7 @@ from repro.scheduling.resources import ResourceSet
 
 
 def _norm(scenario, algorithm="list(ready)"):
-    return normalize_scenario(scenario, algorithm, WINDOW_ALGORITHMS)
+    return normalize_scenario(scenario, algorithm)
 
 
 class TestNormalize:
@@ -87,7 +87,7 @@ class TestNormalize:
                 algorithm="bnb-anytime",
             )
         assert "banked" in str(excinfo.value)
-        assert "list(ready)" in MEMORY_SCENARIO_ALGORITHMS
+        assert "list(ready)" in capable("banked_mem")
 
     def test_io_mode_gated_to_window_algorithms(self):
         with pytest.raises(SchedulingError):
