@@ -14,8 +14,8 @@ Asserts, end to end:
   ``/metrics`` accounting each fresh compute exactly once;
 - legacy key-compat: a scenario-free request produces the exact
   historical cache key (golden literal) in ``X-Repro-Key``, and a
-  malformed scenario answers 400 — never 500 — without disturbing
-  the cluster.
+  malformed scenario or inline graph answers 400 — never 500 —
+  without disturbing the cluster.
 """
 
 import hashlib
@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.graphs import get_graph
 from repro.graphs.scenario import IOPIN_PINS, TMRMARK_OPS
-from repro.ir.serialize import dfg_fingerprint
+from repro.ir.serialize import dfg_fingerprint, dfg_to_dict
 from repro.serve.client import ServeClient
 
 MEMORY = {"mode": "memory", "banks": 2, "ports": 1}
@@ -148,6 +148,12 @@ try:
                 {"mode": "memory", "banks": 2}):
         response = client.schedule_raw("HAL", scenario=bad)
         assert response.status == 400, (bad, response.status)
+    # Malformed inline graphs: a non-list node set and a non-string
+    # name are 400s too, never 500s.
+    hal_doc = dfg_to_dict(get_graph("HAL"))
+    for bad_graph in (dict(hal_doc, nodes=5), dict(hal_doc, name=["x"])):
+        response = client.schedule_raw(bad_graph)
+        assert response.status == 400, (bad_graph, response.status)
     assert client.schedule_raw("HAL").status == 200
 
     # --- Router drains clean on SIGTERM. ---

@@ -13,6 +13,9 @@ full-recompute references, on one seeded random DAG:
 * ``fds`` — the reference force-directed scheduler vs. the
   prefix-sum/incremental-frames implementation, asserting the two
   produce op-for-op identical schedules while timing them.
+* ``threaded`` — the paper's scheduler with incremental labels vs. the
+  same run forcing a full relabel before every insertion, asserting
+  identical start times.
 
 Each run appends one entry to a ``repro-perf-v1`` trajectory document
 (default ``BENCH_perf.json``) so kernel performance is tracked across
@@ -25,7 +28,8 @@ Usage::
 
     python benchmarks/perf_kernels.py                      # record
     python benchmarks/perf_kernels.py --nodes 200 \
-        --min-fds-speedup 3 --min-frames-speedup 3         # CI gate
+        --min-fds-speedup 3 --min-frames-speedup 3 \
+        --min-threaded-speedup 1.3                         # CI gate
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ try:
 except ImportError:  # running from a source checkout without install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core import ThreadedScheduler
 from repro.graphs.random_dags import random_hier_dag, random_layered_dag
 from repro.ir import GraphView
 from repro.ir.analysis import diameter
@@ -142,6 +147,46 @@ def bench_fds(dfg, resources, latency: int):
         "reference_s": reference_s,
         "incremental_s": incremental_s,
         "speedup": reference_s / incremental_s
+        if incremental_s > 0
+        else float("inf"),
+    }
+
+
+def bench_threaded(dfg, resources):
+    """Incremental vs. full relabelling in the threaded scheduler.
+
+    Both sides feed the default meta schedule through
+    :class:`~repro.core.ThreadedScheduler`; the reference forces
+    ``label(force=True)`` before every ``schedule()``, the full sweep
+    the kernel ran per insertion before its labels went incremental.
+    Only ``run()`` is timed; the hardened start times must match
+    op-for-op.
+    """
+
+    def incremental():
+        return ThreadedScheduler(dfg, resources=resources).run()
+
+    def full_relabel():
+        scheduler = ThreadedScheduler(dfg, resources=resources)
+        for node_id in scheduler.meta(dfg):
+            scheduler.state.label(force=True)
+            scheduler.state.schedule(node_id)
+        return scheduler
+
+    # Best of three per side: one run is tens of milliseconds, short
+    # enough for scheduler noise to swing a single-shot ratio.
+    incremental_s = min(_timed(incremental)[0] for _ in range(3))
+    full_s = min(_timed(full_relabel)[0] for _ in range(3))
+    fast = incremental().harden()
+    ref = full_relabel().harden()
+    assert fast.start_times == ref.start_times, (
+        "incremental threaded labels diverged from the full relabel"
+    )
+    return {
+        "length": fast.length,
+        "full_s": full_s,
+        "incremental_s": incremental_s,
+        "speedup": full_s / incremental_s
         if incremental_s > 0
         else float("inf"),
     }
@@ -395,6 +440,11 @@ def main(argv=None) -> int:
         "faster than full recompute",
     )
     parser.add_argument(
+        "--min-threaded-speedup", type=float, default=None, metavar="X",
+        help="exit 1 unless incremental threaded labels are at least X "
+        "times faster than a full relabel per insertion",
+    )
+    parser.add_argument(
         "--anytime-graph", default="EF", metavar="BENCH",
         help="registry graph for the anytime-tier trajectory cell "
         "(default EF; it improves on its heuristic seed and proves "
@@ -444,11 +494,12 @@ def main(argv=None) -> int:
         "graph_view": bench_graph_view(dfg, opts.view_reps),
         "frames": bench_frames(dfg, latency),
         "fds": bench_fds(dfg, resources, latency),
+        "threaded": bench_threaded(dfg, resources),
         "list": bench_list(dfg, resources),
         "anytime": bench_anytime(opts.anytime_graph, DEFAULT_RESOURCES),
         "scenarios": bench_scenarios(),
     }
-    for kernel in ("graph_view", "frames", "fds"):
+    for kernel in ("graph_view", "frames", "fds", "threaded"):
         data = entry[kernel]
         detail = {
             key: round(value, 5) if isinstance(value, float) else value
@@ -517,6 +568,14 @@ def main(argv=None) -> int:
         failures.append(
             f"frames speedup {entry['frames']['speedup']:.1f}x below "
             f"the {opts.min_frames_speedup:g}x gate"
+        )
+    if (
+        opts.min_threaded_speedup is not None
+        and entry["threaded"]["speedup"] < opts.min_threaded_speedup
+    ):
+        failures.append(
+            f"threaded speedup {entry['threaded']['speedup']:.1f}x below "
+            f"the {opts.min_threaded_speedup:g}x gate"
         )
     if not entry["anytime"]["proved"]:
         failures.append(

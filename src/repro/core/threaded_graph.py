@@ -6,9 +6,13 @@ order inside each thread and a partial order across threads.  Scheduling
 one operation is three steps (paper Section 4.2):
 
 ``label``
-    Source/sink distance labels for every state vertex, computed in one
-    forward and one backward topological sweep.  Linear because the
-    threaded structure bounds vertex degree by K (Lemma 7).
+    Source/sink distance labels for every state vertex.  An insertion
+    changes them only in the new vertex's forward and backward cones
+    (Lemmas 5/6), so only the vertices whose edges changed are
+    relabelled, forward and backward through a worklist that stops
+    where a value holds.  A full topological sweep runs first, after a
+    removal and after any DFG mutation.  Each visit costs O(K) because
+    the threaded structure bounds vertex degree by K (Lemma 7).
 ``select``
     The operation's *intrinsic* source (sink) distance is the maximum
     labelled distance over its already-scheduled DFG ancestors
@@ -29,11 +33,12 @@ Insertion validity
 The paper's ``select`` checks only the two position-adjacent vertices
 against the DFG order.  That local test is sound only when no farther
 thread member is ordered against the new operation; the general sound
-condition (documented in DESIGN.md) is a *window* per thread: the
-position must lie after every state-ancestor of the operation's
-scheduled DFG predecessors and before every state-descendant of its
-scheduled DFG successors.  Both sets come from one multi-source BFS
-over the state each, keeping the per-operation cost O(|V| * K).
+condition (docs/ARCHITECTURE.md, "The threaded kernel") is a *window*
+per thread: the position must lie after every state-ancestor of the
+operation's scheduled DFG predecessors and before every
+state-descendant of its scheduled DFG successors.  Both sets come from
+one multi-source BFS over the state each, keeping the per-operation
+cost O(|V| * K).
 Windows are never empty (an ancestor after a descendant inside one
 thread would close a state cycle), so every compatible thread offers a
 valid position.
@@ -50,6 +55,8 @@ threaded (else in ``w.free_in``).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -149,7 +156,15 @@ class ThreadedGraph:
         self._vertices: Dict[str, ThreadedVertex] = {}
         self._free: Dict[str, ThreadedVertex] = {}
         self._order: List[str] = []
-        self._labels_dirty = True
+        # Labelling state (see label()): the DFG version the labels were
+        # last fully swept at (None forces a sweep), the vertices whose
+        # in-/out-edges changed since, and the weighted DFG edges.
+        self._label_version: Optional[int] = None
+        self._changed_in: List[ThreadedVertex] = []
+        self._changed_out: List[ThreadedVertex] = []
+        self._weights_version: Optional[int] = None
+        self._weighted_in: Dict[str, Dict[str, int]] = {}
+        self._weighted_out: Dict[str, Dict[str, int]] = {}
 
         self._s: List[ThreadedVertex] = []
         self._t: List[ThreadedVertex] = []
@@ -251,23 +266,152 @@ class ThreadedGraph:
     # ------------------------------------------------------------------
 
     def label(self, force: bool = False) -> None:
-        """Recompute ``sdist``/``tdist`` for every state vertex."""
-        if not self._labels_dirty and not force:
-            return
-        order = self._topological_state_order()
+        """Bring ``sdist``/``tdist`` of every state vertex up to date.
+
+        Incremental by default: only the labels an insertion can change
+        are recomputed (see :meth:`_relabel`).  ``force=True`` runs the
+        full topological sweep instead; the sweep also runs on the first
+        call, after :meth:`remove`, and whenever the DFG has mutated
+        since the last sweep (wire splices, weight back-annotation, phi
+        resolution).
+        """
+        version = self.dfg.mutation_count
+        if force or self._label_version != version:
+            self._refresh_weights(version)
+            self._sweep()
+            self._label_version = version
+        else:
+            self._relabel(self._changed_in, forward=True)
+            self._relabel(self._changed_out, forward=False)
+        self._changed_in.clear()
+        self._changed_out.clear()
+
+    def _sweep(self) -> None:
+        """Full relabel: one forward and one backward topological pass.
+
+        Sentinel labels stay 0: sources have no predecessors, sinks no
+        successors, and no caller reads the other two.
+        """
+        order = [
+            v for v in self._topological_state_order() if not v.is_sentinel
+        ]
         for vertex in order:
-            best = 0
-            for pred in vertex.predecessors():
-                best = max(best, pred.sdist + self._edge_weight(pred, vertex))
-            vertex.sdist = best + vertex.delay
-            self.stats.label_visits += 1
+            vertex.sdist = self._source_distance(vertex)
         for vertex in reversed(order):
-            best = 0
-            for succ in vertex.successors():
-                best = max(best, succ.tdist + self._edge_weight(vertex, succ))
-            vertex.tdist = best + vertex.delay
-            self.stats.label_visits += 1
-        self._labels_dirty = False
+            vertex.tdist = self._sink_distance(vertex)
+        self.stats.label_visits += 2 * len(order)
+
+    def _relabel(self, seeds: List[ThreadedVertex], forward: bool) -> None:
+        """Worklist relabel from the vertices whose in-edges (forward)
+        or out-edges (backward) changed since the last label.
+
+        A vertex is re-evaluated from its current neighbours, and its
+        own neighbours are queued only when its value changed, so every
+        equation with a changed input is re-evaluated and the pass ends
+        on the same unique longest-path labels as :meth:`_sweep`.  The
+        queue order only saves re-evaluations: forward by the labels
+        before this update (a topological order of every edge the
+        insertion left in place; new vertices start at 0, so first),
+        backward by descending ``sdist``, which is final by then.
+        """
+        if forward:
+            name, evaluate = "sdist", self._source_distance
+            spread = self._label_successors
+        else:
+            name, evaluate = "tdist", self._sink_distance
+            spread = self._label_predecessors
+        heap: List[Tuple[int, int, ThreadedVertex]] = []
+        queued: Set[ThreadedVertex] = set()
+        tick = itertools.count()  # FIFO among equal keys; never compares vertices
+
+        def push(vertices: Iterable[ThreadedVertex]) -> None:
+            for other in vertices:
+                if other not in queued and not other.is_sentinel:
+                    queued.add(other)
+                    key = other.sdist if forward else -other.sdist
+                    heapq.heappush(heap, (key, next(tick), other))
+
+        push(seeds)
+        visits = 0
+        while heap:
+            vertex = heapq.heappop(heap)[2]
+            queued.discard(vertex)
+            visits += 1
+            value = evaluate(vertex)
+            if value != getattr(vertex, name):
+                setattr(vertex, name, value)
+                push(spread(vertex))
+        self.stats.label_visits += visits
+
+    # The label recurrence.  State edges carry no weight; a weighted DFG
+    # edge between two scheduled ops adds its weight on top of the path
+    # the state already orders them by.  The state may route that order
+    # through a different (implied) slot edge, so the weight is read
+    # from the DFG edge itself, never from the slot edge.
+
+    def _source_distance(self, vertex: ThreadedVertex) -> int:
+        best = 0
+        for pred in vertex.tin:
+            if pred is not None and pred.sdist > best:
+                best = pred.sdist
+        for pred in vertex.free_in:
+            if pred.sdist > best:
+                best = pred.sdist
+        for pred, weight in self._weighted(vertex, self._weighted_in):
+            best = max(best, pred.sdist + weight)
+        return best + vertex.delay
+
+    def _sink_distance(self, vertex: ThreadedVertex) -> int:
+        best = 0
+        for succ in vertex.tout:
+            if succ is not None and succ.tdist > best:
+                best = succ.tdist
+        for succ in vertex.free_out:
+            if succ.tdist > best:
+                best = succ.tdist
+        for succ, weight in self._weighted(vertex, self._weighted_out):
+            best = max(best, succ.tdist + weight)
+        return best + vertex.delay
+
+    def _label_successors(self, vertex: ThreadedVertex) -> List[ThreadedVertex]:
+        weighted = self._weighted(vertex, self._weighted_out)
+        return vertex.successors() + [succ for succ, _ in weighted]
+
+    def _label_predecessors(
+        self, vertex: ThreadedVertex
+    ) -> List[ThreadedVertex]:
+        weighted = self._weighted(vertex, self._weighted_in)
+        return vertex.predecessors() + [pred for pred, _ in weighted]
+
+    def _weighted(
+        self,
+        vertex: ThreadedVertex,
+        table: Dict[str, Dict[str, int]],
+    ) -> List[Tuple[ThreadedVertex, int]]:
+        """Scheduled DFG neighbours of ``vertex`` joined to it by a
+        weighted edge, with the weights (``table`` picks the side)."""
+        neighbours = table.get(vertex.node_id)
+        if not neighbours:
+            return []
+        scheduled = self._vertices
+        return [
+            (scheduled[other], weight)
+            for other, weight in neighbours.items()
+            if other in scheduled
+        ]
+
+    def _refresh_weights(self, version: int) -> None:
+        """Rebuild the weighted-edge tables when the DFG has moved."""
+        if self._weights_version == version:
+            return
+        weighted_in: Dict[str, Dict[str, int]] = {}
+        weighted_out: Dict[str, Dict[str, int]] = {}
+        for edge in self.dfg.edges():
+            if edge.weight:
+                weighted_in.setdefault(edge.dst, {})[edge.src] = edge.weight
+                weighted_out.setdefault(edge.src, {})[edge.dst] = edge.weight
+        self._weighted_in, self._weighted_out = weighted_in, weighted_out
+        self._weights_version = version
 
     def _topological_state_order(self) -> List[ThreadedVertex]:
         everything: List[ThreadedVertex] = list(self._s) + list(self._t)
@@ -290,13 +434,6 @@ class ThreadedGraph:
                 "violation)"
             )
         return order
-
-    def _edge_weight(self, u: ThreadedVertex, w: ThreadedVertex) -> int:
-        if u.is_sentinel or w.is_sentinel:
-            return 0
-        if self.dfg.has_edge(u.node_id, w.node_id):
-            return self.dfg.edge(u.node_id, w.node_id).weight
-        return 0
 
     # ------------------------------------------------------------------
     # The schedule() entry point (Definition 3's online schedule F).
@@ -344,7 +481,9 @@ class ThreadedGraph:
         # Tie-break: minimum cost, then lowest thread index, then the
         # *latest* position in that thread (appending keeps the earlier
         # slack free for later refinements; empirically this also tracks
-        # the paper's reported lengths most closely — see EXPERIMENTS.md).
+        # the paper's reported lengths most closely — measured by
+        # repro.experiments.tiebreak_ablation; see docs/ARCHITECTURE.md,
+        # "The threaded kernel").
         best: Optional[Tuple[int, int, int]] = None  # (cost, thread, -rank)
         chosen: Optional[Tuple[int, int]] = None
         for k in compatible:
@@ -380,27 +519,27 @@ class ThreadedGraph:
         ancestors/descendants of ``node_id`` (paper lines 53-54)."""
         intrinsic_src = 0
         ancestors: List[ThreadedVertex] = []
+        weights = self._weighted_in.get(node_id, {})
         for anc_id in self.dfg.reaching_to(node_id):
             vertex = self._vertices.get(anc_id)
             if vertex is None:
                 continue
             ancestors.append(vertex)
-            weight = 0
-            if self.dfg.has_edge(anc_id, node_id):
-                weight = self.dfg.edge(anc_id, node_id).weight
-            intrinsic_src = max(intrinsic_src, vertex.sdist + weight)
+            intrinsic_src = max(
+                intrinsic_src, vertex.sdist + weights.get(anc_id, 0)
+            )
 
         intrinsic_snk = 0
         descendants: List[ThreadedVertex] = []
+        weights = self._weighted_out.get(node_id, {})
         for desc_id in self.dfg.reachable_from(node_id):
             vertex = self._vertices.get(desc_id)
             if vertex is None:
                 continue
             descendants.append(vertex)
-            weight = 0
-            if self.dfg.has_edge(node_id, desc_id):
-                weight = self.dfg.edge(node_id, desc_id).weight
-            intrinsic_snk = max(intrinsic_snk, vertex.tdist + weight)
+            intrinsic_snk = max(
+                intrinsic_snk, vertex.tdist + weights.get(desc_id, 0)
+            )
         return intrinsic_src, intrinsic_snk, ancestors, descendants
 
     def _windows(
@@ -471,13 +610,15 @@ class ThreadedGraph:
         nxt.tin[k] = vertex
         chain.insert(rank + 1, vertex)
         self._reindex(k)
+        self._changed_out.append(prev)
+        self._changed_in.append(nxt)
 
         self._vertices[node_id] = vertex
         self._order.append(node_id)
+        self._note_new(vertex)
 
         self._wire_ancestors(vertex)
         self._wire_descendants(vertex)
-        self._labels_dirty = True
 
     # The free-edge containers are insertion-ordered dicts (see
     # ThreadedVertex), so everything above iterates deterministically.
@@ -488,9 +629,25 @@ class ThreadedGraph:
         self._vertices[node_id] = vertex
         self._free[node_id] = vertex
         self._order.append(node_id)
+        self._note_new(vertex)
         self._wire_ancestors(vertex)
         self._wire_descendants(vertex)
-        self._labels_dirty = True
+
+    def _note_new(self, vertex: ThreadedVertex) -> None:
+        """Record a new vertex and its weighted DFG neighbours for the
+        next incremental relabel (its slot edges record themselves).
+
+        The weight table is stale only after a DFG mutation, and then
+        the next label is a full sweep that ignores these records.
+        """
+        self._changed_in.append(vertex)
+        self._changed_out.append(vertex)
+        self._changed_in.extend(
+            v for v, _ in self._weighted(vertex, self._weighted_out)
+        )
+        self._changed_out.extend(
+            v for v, _ in self._weighted(vertex, self._weighted_in)
+        )
 
     def _wire_ancestors(self, vertex: ThreadedVertex) -> None:
         """Add/rewire one edge per thread from scheduled DFG ancestors
@@ -558,6 +715,8 @@ class ThreadedGraph:
         if src.thread is not None and dst.tin[src.thread] is not None:
             self._drop_edge(dst.tin[src.thread], dst)
         # Write both sides.
+        self._changed_out.append(src)
+        self._changed_in.append(dst)
         if dst.thread is not None:
             src.tout[dst.thread] = dst
         else:
@@ -569,6 +728,8 @@ class ThreadedGraph:
 
     def _drop_edge(self, src: ThreadedVertex, dst: ThreadedVertex) -> None:
         """Remove a state edge (both directions)."""
+        self._changed_out.append(src)
+        self._changed_in.append(dst)
         if dst.thread is not None and src.tout[dst.thread] is dst:
             src.tout[dst.thread] = None
         else:
@@ -622,7 +783,7 @@ class ThreadedGraph:
             for succ in succs:
                 if pred is not succ:
                     self._add_edge(pred, succ)
-        self._labels_dirty = True
+        self._label_version = None
 
     def _precedes_in_thread(
         self, first: ThreadedVertex, second: ThreadedVertex

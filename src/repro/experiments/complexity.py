@@ -6,10 +6,15 @@ speculative scheduler of Section 4.2.  This experiment schedules random
 layered DAGs of growing size with both and reports
 
 * wall-clock time per scheduled operation, and
-* abstract work counters (position scans + label visits for Algorithm 1;
-  relaxed edges for the naive scheduler),
+* abstract work counters (``SchedulerStats.total_work()`` — label
+  visits, position scans, window-BFS visits and rewired edges — for
+  Algorithm 1; relaxed edges for the naive scheduler),
 
-so the scaling shape is visible even on noisy machines.  The naive
+so the scaling shape is visible even on noisy machines.  Both come from
+the production :class:`~repro.core.threaded_graph.ThreadedGraph`, whose
+labels are incremental: a label visit is one vertex re-evaluated in an
+insertion's forward or backward cone, and a full sweep counts every
+vertex twice.  The naive
 scheduler is capped at a configurable size — it is cubic-ish and the
 point is made long before it becomes unbearable.
 """

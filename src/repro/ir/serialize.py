@@ -63,7 +63,19 @@ def dfg_from_dict(data: Dict[str, Any]) -> DataFlowGraph:
         raise GraphError(
             f"not a {_FORMAT} document (format={data.get('format')!r})"
         )
-    dfg = DataFlowGraph(name=data.get("name", ""))
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise GraphError(
+            f"graph name must be a string, got {type(name).__name__}"
+        )
+    for field in ("nodes", "edges"):
+        records = data.get(field, [])
+        if not isinstance(records, list):
+            raise GraphError(
+                f"graph {field!r} must be a list, got "
+                f"{type(records).__name__}"
+            )
+    dfg = DataFlowGraph(name=name)
     for position, node in enumerate(data.get("nodes", [])):
         if not isinstance(node, dict):
             raise GraphError(f"malformed node record #{position}: {node!r}")

@@ -1,5 +1,7 @@
 """Tests for threaded-state hardening."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +54,19 @@ class TestHarden:
         dfg = random_layered_dag(size, seed=seed)
         rs = ResourceSet.of(alu=2, mul=2)
         schedule = threaded_schedule(dfg, rs)
+        assert validate_schedule(schedule) == []
+
+    @pytest.mark.parametrize("meta", ["meta1", "meta2", "meta3", "meta4"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_edges_harden_validly(self, two_two, meta, seed):
+        """A weighted DFG edge whose slot edge the state skipped or
+        displaced as implied still delays its consumer by the weight."""
+        dfg = random_layered_dag(30, seed=seed)
+        rng = random.Random(seed)
+        for edge in dfg.edges():
+            edge.weight = rng.choice((0, 0, 1, 3))
+        scheduler = ThreadedScheduler(dfg, resources=two_two, meta=meta)
+        schedule = scheduler.run().harden(validate=True)
         assert validate_schedule(schedule) == []
 
 

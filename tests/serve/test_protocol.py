@@ -88,6 +88,18 @@ class TestParseRequest:
                 _body(graph={"format": "repro-dfg-v1", "nodes": [{}]}),
                 "bad inline graph",
             ),
+            (
+                _body(graph={"format": "repro-dfg-v1", "nodes": 5}),
+                "'nodes' must be a list",
+            ),
+            (
+                _body(graph={"format": "repro-dfg-v1", "edges": "a->b"}),
+                "'edges' must be a list",
+            ),
+            (
+                _body(graph={"format": "repro-dfg-v1", "name": ["x"]}),
+                "name must be a string",
+            ),
         ],
     )
     def test_bad_requests_raise_protocol_error(self, body, fragment):
