@@ -47,16 +47,17 @@ def _cmd_benchmarks(_args) -> int:
 def _cmd_schedule(args) -> int:
     from repro.core.scheduler import threaded_schedule
     from repro.graphs import get_graph
-    from repro.scheduling.resources import ResourceSet
+    from repro.scheduling.resources import DEFAULT_RESOURCES, ResourceSet
 
     if not args:
         print(
-            'usage: python -m repro schedule <BENCH> ["2+/-,2*"] [meta2]',
+            "usage: python -m repro schedule <BENCH> "
+            f'["{DEFAULT_RESOURCES}"] [meta2]',
             file=sys.stderr,
         )
         return 2
     name = args[0]
-    constraint = args[1] if len(args) > 1 else "2+/-,2*"
+    constraint = args[1] if len(args) > 1 else DEFAULT_RESOURCES
     meta = args[2] if len(args) > 2 else "meta2"
     graph = get_graph(name)
     schedule = threaded_schedule(

@@ -37,6 +37,8 @@ import bisect
 import hashlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import ConfigError
+
 #: Virtual nodes per member.  More vnodes smooth the key distribution
 #: (the std-dev of arc ownership shrinks ~1/sqrt(vnodes)) at the cost
 #: of a longer sorted position array; 64 keeps a 3-replica ring within
@@ -59,7 +61,7 @@ class HashRing:
         vnodes: int = DEFAULT_VNODES,
     ):
         if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
+            raise ConfigError(f"vnodes must be >= 1, got {vnodes}")
         self.vnodes = vnodes
         self._members: Dict[str, Tuple[int, ...]] = {}
         # Sorted (position, member) pairs; rebuilt on membership change

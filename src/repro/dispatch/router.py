@@ -39,11 +39,22 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.job import JobSpec
 from repro.engine.keys import CacheKeyResolver
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.metrics import cluster_sums
 from repro.resilience import CircuitBreaker, Deadline, RetryPolicy
+from repro.resilience.breaker import (
+    DEFAULT_FAILURE_THRESHOLD,
+    DEFAULT_RESET_TIMEOUT_S,
+)
 from repro.serve import protocol
-from repro.serve.http import Body, HttpServerCore, StreamBody, parse_query
+from repro.serve.http import (
+    DEFAULT_DRAIN_TIMEOUT_S,
+    DEFAULT_HOST,
+    Body,
+    HttpServerCore,
+    StreamBody,
+    parse_query,
+)
 from repro.serve.stream import sse_frame
 from repro.dispatch import proxy
 from repro.dispatch.metrics import DispatchMetrics
@@ -59,14 +70,8 @@ DEFAULT_PROBE_TIMEOUT_S = 2.0
 #: End-to-end timeout for one proxied /schedule exchange.
 DEFAULT_REQUEST_TIMEOUT_S = 120.0
 
-#: How long a graceful shutdown waits for in-flight proxied requests.
-DEFAULT_DRAIN_TIMEOUT_S = 10.0
-
-#: Consecutive failures that open a replica's circuit breaker.
-DEFAULT_BREAKER_THRESHOLD = 3
-
-#: Seconds an open replica breaker waits before admitting a probe.
-DEFAULT_BREAKER_RESET_S = 5.0
+#: Replica attempts per request; 0 walks the whole ring preference.
+DEFAULT_RETRY_ATTEMPTS = 0
 
 #: Base backoff between failover attempts within one routed request.
 DEFAULT_RETRY_BASE_S = 0.025
@@ -118,7 +123,7 @@ class DispatchRouter(HttpServerCore):
     def __init__(
         self,
         replicas: List[str],
-        host: str = "127.0.0.1",
+        host: str = DEFAULT_HOST,
         port: int = 0,
         vnodes: int = DEFAULT_VNODES,
         health_interval_s: float = DEFAULT_HEALTH_INTERVAL_S,
@@ -127,10 +132,21 @@ class DispatchRouter(HttpServerCore):
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
         retry: Optional[RetryPolicy] = None,
         deadline_ms: Optional[float] = None,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_reset_s: float = DEFAULT_BREAKER_RESET_S,
+        breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD,
+        breaker_reset_s: float = DEFAULT_RESET_TIMEOUT_S,
     ):
-        super().__init__(host=host, port=port)
+        super().__init__(
+            host=host, port=port, drain_timeout_s=drain_timeout_s
+        )
+        for name, value in (
+            ("health_interval_s", health_interval_s),
+            ("probe_timeout_s", probe_timeout_s),
+            ("request_timeout_s", request_timeout_s),
+        ):
+            if value <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        if deadline_ms is not None and deadline_ms <= 0:
+            raise ConfigError(f"deadline_ms must be > 0, got {deadline_ms}")
         if not replicas:
             raise ReproError(
                 "a dispatcher needs at least one replica address"
@@ -146,12 +162,11 @@ class DispatchRouter(HttpServerCore):
         self.health_interval_s = health_interval_s
         self.probe_timeout_s = probe_timeout_s
         self.request_timeout_s = request_timeout_s
-        self.drain_timeout_s = drain_timeout_s
         # Failover-walk policy: max_attempts=0 means "walk the whole
         # ring preference", preserving the pre-resilience semantics
         # while still pacing attempts with jittered backoff.
         self.retry = retry or RetryPolicy(
-            max_attempts=0,
+            max_attempts=DEFAULT_RETRY_ATTEMPTS,
             base_s=DEFAULT_RETRY_BASE_S,
             max_backoff_s=DEFAULT_RETRY_MAX_BACKOFF_S,
         )
@@ -772,41 +787,6 @@ class DispatchRouter(HttpServerCore):
         }
 
 
-async def _run_until_signal(router: DispatchRouter) -> bool:
-    """Serve until SIGINT/SIGTERM, then drain; True = drained clean."""
-    import signal
-
-    loop = asyncio.get_running_loop()
-    stop_event = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop_event.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # non-Unix event loops
-    await router.start()
-    print(
-        f"repro dispatch: listening on http://{router.host}:{router.port}"
-        f" fronting {len(router.replicas)} replica(s): "
-        + ", ".join(router.replicas),
-        flush=True,
-    )
-    serve_task = asyncio.ensure_future(router.serve_forever())
-    await stop_event.wait()
-    print("repro dispatch: draining...", flush=True)
-    serve_task.cancel()
-    try:
-        await serve_task
-    except (asyncio.CancelledError, Exception):
-        pass
-    drained = await router.stop()
-    print(
-        "repro dispatch: shutdown "
-        + ("clean" if drained else "timed out waiting for in-flight work"),
-        flush=True,
-    )
-    return drained
-
-
 def run_router(**kwargs) -> int:
     """Blocking entry point used by ``repro dispatch``.
 
@@ -814,8 +794,9 @@ def run_router(**kwargs) -> int:
     graceful drain timed out with proxied work still in flight.
     """
     router = DispatchRouter(**kwargs)
-    try:
-        drained = asyncio.run(_run_until_signal(router))
-    except KeyboardInterrupt:
-        return 0
-    return 0 if drained else 1
+    return router.run_until_signal(
+        "repro dispatch",
+        f" fronting {len(router.replicas)} replica(s): "
+        + ", ".join(router.replicas),
+        "in-flight work",
+    )

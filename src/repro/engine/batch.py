@@ -8,9 +8,9 @@ one :class:`JobResult` per job, in submission order.  Under the hood it
 2. resolves jobs against a :class:`~repro.engine.cache.ResultCache`
    (memory + optional sharded on-disk JSON store) — one lookup per
    unique key — and deduplicates identical jobs within the batch,
-3. when the cache exposes a cluster tier (``fetch_missing``, see
-   :class:`repro.store.ClusterStore`), peer-fetches the still-missing
-   keys *outside* the submission lock, so slow peers never stall
+3. asks the cache's cluster tier (``fetch_missing``; see
+   :class:`repro.store.ClusterStore`) for the still-missing keys
+   *outside* the submission lock, so slow peers never stall
    concurrent batches,
 4. executes the remaining unique jobs either serially or across a
    ``ProcessPoolExecutor``, and
@@ -59,12 +59,15 @@ from repro.engine.job import (
 )
 from repro.engine.keys import FINGERPRINT_MEMO_LIMIT, CacheKeyResolver
 from repro.engine.scenario import lower_scenario
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.scheduling.base import schedule_artifact
 
 #: Graphs at or below this many ops get an exact-optimum comparison
 #: when the engine is constructed with ``compute_gaps=True``.
 DEFAULT_GAP_OPS_LIMIT = 12
+
+#: Worker processes unless told otherwise (1 = in-process).
+DEFAULT_WORKERS = 1
 
 #: A job that killed this many workers while running *alone* is
 #: quarantined: further submissions answer a structured ``worker-crash``
@@ -277,7 +280,7 @@ class BatchEngine:
 
     def __init__(
         self,
-        workers: int = 1,
+        workers: int = DEFAULT_WORKERS,
         cache: Optional[ResultCache] = None,
         cache_dir: Union[str, Path, None] = None,
         compute_gaps: bool = False,
@@ -286,14 +289,16 @@ class BatchEngine:
         capture_schedules: bool = False,
         max_cache_entries: Optional[int] = None,
     ):
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
         if cache is not None and cache_dir is not None:
-            raise ValueError("pass either `cache` or `cache_dir`, not both")
+            raise ConfigError("pass either `cache` or `cache_dir`, not both")
         if cache is not None and max_cache_entries is not None:
-            raise ValueError(
+            raise ConfigError(
                 "max_cache_entries applies to an engine-built cache; "
                 "bound the ResultCache you pass in instead"
             )
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         if cache is None:
             cache = ResultCache(cache_dir, max_entries=max_cache_entries)
         self.cache = cache
@@ -380,12 +385,9 @@ class BatchEngine:
         shared cache directory, a restarted replica receiving a stale
         peer publish) must compare against the entry already on disk.
         ``export_entry`` is the stats-free read that spans both
-        layers; caches without one fall back to the memory peek.
+        layers.
         """
-        exporter = getattr(self.cache, "export_entry", None)
-        if exporter is None:
-            return self.cache.peek(key)
-        data = exporter(key)
+        data = self.cache.export_entry(key)
         if data is None:
             return None
         data = dict(data)
@@ -592,20 +594,16 @@ class BatchEngine:
         Runs between the two locked phases of :meth:`submit`: the
         network walk (``cache.fetch_missing``) happens with the lock
         released, the installs of whatever came back retake it.  A
-        plain :class:`ResultCache` has no ``fetch_missing`` and this is
-        a no-op.  Fetched entries that still fail this engine's
+        plain :class:`ResultCache` fetches nothing and this is a
+        no-op.  Fetched entries that still fail this engine's
         servability bar (missing artifact/gap) are installed — so their
         payloads merge on overwrite — but stay scheduled for compute.
         """
         if not keyed:
             return keyed
-        fetcher = getattr(self.cache, "fetch_missing", None)
-        if not callable(fetcher):
-            return keyed
-        fetched = fetcher([key for key, _, _ in keyed])
+        fetched = self.cache.fetch_missing([key for key, _, _ in keyed])
         if not fetched:
             return keyed
-        install = getattr(self.cache, "install", self.cache.put)
         still: List[Tuple[str, JobSpec, str]] = []
         with self._lock:
             for key, spec, graph_hash in keyed:
@@ -614,7 +612,7 @@ class BatchEngine:
                     still.append((key, spec, graph_hash))
                     continue
                 merged = self._store_candidate(result, self._peek_entry(key))
-                install(merged)
+                self.cache.install(merged)
                 if not self._servable(merged, spec):
                     still.append((key, spec, graph_hash))
                     continue
@@ -642,32 +640,28 @@ class BatchEngine:
         :meth:`ResultCache.export_entry`), so peer probes never distort
         this replica's hit/miss accounting.
         """
-        exporter = getattr(self.cache, "export_entry", None)
-        if exporter is None:
-            return None
         with self._lock:
-            return exporter(key)
+            return self.cache.export_entry(key)
 
     def install_result(self, result: JobResult) -> bool:
         """Install a peer-published result into the local tiers.
 
         Thread-safe; this is the ``POST /cache/<key>`` receive path.
-        Uses the cache's publish-free ``install`` when it has one, so
-        an entry never echoes back into the cluster it arrived from.
-        Structured failures are refused (error results are never
-        cached), as is an anytime entry that does not improve the one
-        already stored (a stale publish must never regress a local
-        rewrite).  Returns whether the entry was accepted.
+        Uses the cache's publish-free ``install``, so an entry never
+        echoes back into the cluster it arrived from.  Structured
+        failures are refused (error results are never cached), as is
+        an anytime entry that does not improve the one already stored
+        (a stale publish must never regress a local rewrite).  Returns
+        whether the entry was accepted.
         """
         if result.error is not None:
             return False
-        install = getattr(self.cache, "install", self.cache.put)
         with self._lock:
             old = self._peek_entry(result.key)
             stored = self._store_candidate(result, old)
             if stored is old:
                 return False
-            install(stored)
+            self.cache.install(stored)
         return True
 
     def rewrite_result(self, result: JobResult) -> bool:

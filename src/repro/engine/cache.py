@@ -39,11 +39,11 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Set, Union
+from typing import Callable, Dict, Iterable, Optional, Set, Union
 
 from repro import faultlab
 from repro.engine.job import JobResult
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 #: Hex digits of the key that name the shard directory.
 SHARD_WIDTH = 2
@@ -86,8 +86,8 @@ class ResultCache:
         max_entries: Optional[int] = None,
     ):
         if max_entries is not None and max_entries < 1:
-            raise ReproError(
-                f"max_entries must be at least 1, got {max_entries}"
+            raise ConfigError(
+                f"max_entries must be >= 1, got {max_entries}"
             )
         self._memory: Dict[str, JobResult] = {}
         self._dir: Optional[Path] = None
@@ -579,6 +579,19 @@ class ResultCache:
         # filesystem can tie the fresh entry with older ones, and the
         # result just stored must never be its own put's victim.
         self._evict(protect=result.key)
+
+    #: Store an entry in the *local* tiers only.  Peer-supplied entries
+    #: come through here, so a subclass that publishes from :meth:`put`
+    #: never echoes an entry back into the cluster it arrived from.
+    install = put
+
+    def fetch_missing(self, keys: Iterable[str]) -> Dict[str, JobResult]:
+        """Entries for ``keys`` from a cluster tier; a local store has
+        none (see :meth:`repro.store.ClusterStore.fetch_missing`)."""
+        return {}
+
+    def close(self) -> None:
+        """Release background resources; a local store holds none."""
 
     def __contains__(self, key: str) -> bool:
         if key in self._memory:

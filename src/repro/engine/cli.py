@@ -6,6 +6,11 @@ command table.  Every entry point returns a process exit code (0 ok,
 1 regression, 2 usage/library error) and never leaks tracebacks for
 anticipated failures — ``__main__`` converts
 :class:`~repro.errors.ReproError` into exit code 2.
+
+Each flag's default is the library constant of the parameter it feeds,
+and its range is checked by the constructor that consumes it (raising
+:class:`~repro.errors.ConfigError`); the parsers here only check rules
+that span flags.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ReproError
 from repro.engine import bench as bench_mod
@@ -25,24 +30,29 @@ from repro.engine.algorithms import (
     algorithm_ids,
     canonical_algorithm,
 )
-from repro.engine.batch import BatchEngine
+from repro.engine.batch import DEFAULT_WORKERS, BatchEngine
 from repro.engine.job import GraphSpec
-from repro.engine.sweeps import cross, random_dag_sweep
+from repro.engine.sweeps import (
+    DEFAULT_BASE_SEED,
+    DEFAULT_CONSTRAINTS,
+    cross,
+    random_dag_sweep,
+)
 from repro.graphs.registry import graph_names
+from repro.scheduling.resources import DEFAULT_RESOURCES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=DEFAULT_WORKERS,
         metavar="N",
-        help="worker processes (1 = in-process, default)",
+        help="worker processes; 1 = in-process (default %(default)s)",
     )
     parser.add_argument(
         "--cache",
         metavar="DIR",
-        default=None,
         help=(
             "directory for the on-disk result store, sharded by key "
             "prefix (off by default)"
@@ -51,7 +61,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-entries",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "bound the result store to N entries with LRU eviction "
@@ -69,7 +78,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
         metavar="PATH",
-        default=None,
         help="write machine-readable results to PATH",
     )
 
@@ -100,15 +108,18 @@ def _probe_cache_dir(cache_dir: str) -> None:
         )
 
 
-def _check_cache_opts(opts) -> None:
-    """Validate the store options before any scheduling work starts."""
-    if opts.cache_entries is not None and not opts.cache:
+def _check_cache_opts(
+    cache_dir: Optional[str], cache_entries: Optional[int], flag: str
+) -> None:
+    """Validate the store options before any scheduling work starts;
+    ``flag`` names the cache-directory option in messages."""
+    if cache_entries is not None and not cache_dir:
         raise ReproError(
             "--cache-entries bounds the on-disk result store; "
-            "pass --cache DIR along with it"
+            f"pass {flag} DIR along with it"
         )
-    if opts.cache:
-        _probe_cache_dir(opts.cache)
+    if cache_dir:
+        _probe_cache_dir(cache_dir)
 
 
 def _parse_random(text: str) -> tuple:
@@ -117,12 +128,10 @@ def _parse_random(text: str) -> tuple:
     try:
         size = int(size_text)
         count = int(count_text) if sep else 1
-        if size <= 0 or count <= 0:
-            raise ValueError
     except ValueError:
         raise ReproError(
             f"malformed --random spec {text!r}; expected SIZE or SIZExCOUNT"
-            " with positive integers (e.g. 50x6)"
+            " (e.g. 50x6)"
         )
     return size, count
 
@@ -150,15 +159,16 @@ def cmd_batch(args: Sequence[str]) -> int:
         "-r",
         action="append",
         metavar="SPEC",
-        default=None,
-        help='resource constraint, repeatable (default: "2+/-,2*")',
+        help=(
+            "resource constraint, repeatable (default: "
+            f'"{DEFAULT_RESOURCES}")'
+        ),
     )
     parser.add_argument(
         "--algorithms",
         "-a",
         action="append",
         metavar="ALGO",
-        default=None,
         help=(
             "algorithm id or alias, repeatable (default: "
             f"{DEFAULT_ALGORITHM}); known: " + ", ".join(algorithm_ids())
@@ -168,15 +178,14 @@ def cmd_batch(args: Sequence[str]) -> int:
         "--random",
         action="append",
         metavar="SIZExCOUNT",
-        default=None,
         help="add a seeded random-DAG family, e.g. --random 50x6",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=0,
+        default=DEFAULT_BASE_SEED,
         metavar="N",
-        help="base seed for --random families (default 0)",
+        help="base seed for --random families (default %(default)s)",
     )
     parser.add_argument(
         "--paper-only",
@@ -190,9 +199,9 @@ def cmd_batch(args: Sequence[str]) -> int:
     )
     _add_common(parser)
     opts = parser.parse_args(list(args))
-    _check_cache_opts(opts)
+    _check_cache_opts(opts.cache, opts.cache_entries, "--cache")
 
-    constraints = opts.resources or ["2+/-,2*"]
+    constraints = opts.resources or DEFAULT_CONSTRAINTS
     algorithms = [
         canonical_algorithm(algo)
         for algo in (opts.algorithms or [DEFAULT_ALGORITHM])
@@ -295,7 +304,6 @@ def cmd_bench(args: Sequence[str]) -> int:
     parser.add_argument(
         "--check",
         metavar="BASELINE",
-        default=None,
         help=(
             "compare against a baseline BENCH_results.json; exit 1 on "
             "schedule-length regression or >2x runtime blowup"
@@ -303,7 +311,7 @@ def cmd_bench(args: Sequence[str]) -> int:
     )
     _add_common(parser)
     opts = parser.parse_args(list(args))
-    _check_cache_opts(opts)
+    _check_cache_opts(opts.cache, opts.cache_entries, "--cache")
 
     report = bench_mod.run_suite(
         workers=opts.workers,
@@ -329,6 +337,24 @@ def cmd_bench(args: Sequence[str]) -> int:
     return 0
 
 
+def _add_listener(parser: argparse.ArgumentParser) -> None:
+    """``--host``/``--port``, shared by ``serve`` and ``dispatch``."""
+    from repro.serve import http
+
+    parser.add_argument(
+        "--host",
+        default=http.DEFAULT_HOST,
+        help="bind address (default %(default)s)",
+    )
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=8080,
+        metavar="N",
+        help="listen port; 0 picks a free one (default %(default)s)",
+    )
+
+
 def build_serve_parser() -> argparse.ArgumentParser:
     """The ``repro serve`` argument parser.
 
@@ -336,6 +362,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
     :func:`cmd_serve`) so the docs-sync test can assert that every
     flag documented in ``docs/OPERATIONS.md`` is actually accepted.
     """
+    # The serving stack is imported here, not at module level, so that
+    # batch and bench start without loading it.
+    from repro.serve import coalescer, http, server
+    from repro.store import cluster, peers
+
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description=(
@@ -345,76 +376,69 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "bounded queue (429 on overload)."
         ),
     )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8080,
-        metavar="N",
-        help="listen port; 0 picks a free one (default 8080)",
-    )
+    _add_listener(parser)
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=DEFAULT_WORKERS,
         metavar="N",
-        help="engine worker processes (1 = in-process, default)",
+        help="engine worker processes; 1 = in-process (default %(default)s)",
     )
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
-        default=None,
         help="directory for the on-disk result store (off by default)",
     )
     parser.add_argument(
         "--cache-entries",
         type=int,
-        default=None,
         metavar="N",
         help="bound the result store to N entries with LRU eviction",
     )
     parser.add_argument(
         "--max-queue",
         type=int,
-        default=256,
+        default=server.DEFAULT_MAX_QUEUE,
         metavar="N",
         help=(
             "schedule requests in flight before 429s start "
-            "(default 256)"
+            "(default %(default)s)"
         ),
     )
     parser.add_argument(
         "--max-batch",
         type=int,
-        default=32,
+        default=coalescer.DEFAULT_MAX_BATCH,
         metavar="N",
-        help="flush a micro-batch at this many unique jobs (default 32)",
+        help=(
+            "flush a micro-batch at this many unique jobs "
+            "(default %(default)s)"
+        ),
     )
     parser.add_argument(
         "--batch-window-ms",
         type=float,
-        default=5.0,
+        default=coalescer.DEFAULT_BATCH_WINDOW_MS,
         metavar="MS",
         help=(
-            "flush a non-full micro-batch after this wait (default 5)"
+            "flush a non-full micro-batch after this wait "
+            "(default %(default)s)"
         ),
     )
     parser.add_argument(
         "--drain-timeout",
         type=float,
-        default=10.0,
+        default=http.DEFAULT_DRAIN_TIMEOUT_S,
         metavar="S",
-        help="graceful-shutdown wait for in-flight jobs (default 10s)",
+        help=(
+            "graceful-shutdown wait for in-flight jobs "
+            "(default %(default)ss)"
+        ),
     )
     parser.add_argument(
         "--peer",
         action="append",
         metavar="HOST:PORT",
-        default=None,
         help=(
             "another replica in the cluster tier; repeat per peer. "
             "Local cache misses peer-fetch before computing, fresh "
@@ -424,31 +448,32 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--peer-timeout",
         type=float,
-        default=2.0,
+        default=peers.DEFAULT_PEER_TIMEOUT_S,
         metavar="S",
         help=(
             "per-exchange bound for peer fetches/publishes; a slower "
-            "peer counts as a miss (default 2)"
+            "peer counts as a miss (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--publish",
-        choices=["off", "async", "sync"],
-        default="async",
+        choices=list(cluster.PUBLISH_MODES),
+        default=cluster.DEFAULT_PUBLISH,
         help=(
             "how fresh computes reach peers: async (background "
-            "thread, default), sync (write-through), off "
-            "(fetch-only replica)"
+            "thread), sync (write-through), off (fetch-only replica); "
+            "default %(default)s"
         ),
     )
     parser.add_argument(
         "--publish-fanout",
         type=int,
-        default=1,
+        default=cluster.DEFAULT_PUBLISH_FANOUT,
         metavar="N",
         help=(
             "ring successors that receive each fresh entry; 0 means "
-            "every peer (default 1 — the key's first failover target)"
+            "every peer (default %(default)s; 1 is the key's first "
+            "failover target)"
         ),
     )
     return parser
@@ -458,30 +483,7 @@ def cmd_serve(args: Sequence[str]) -> int:
     """Run the async scheduling service over the batch engine."""
     parser = build_serve_parser()
     opts = parser.parse_args(list(args))
-    if opts.cache_entries is not None and not opts.cache_dir:
-        raise ReproError(
-            "--cache-entries bounds the on-disk result store; "
-            "pass --cache-dir DIR along with it"
-        )
-    if opts.cache_dir:
-        _probe_cache_dir(opts.cache_dir)
-    if opts.max_queue < 1:
-        raise ReproError(
-            f"--max-queue must be at least 1, got {opts.max_queue}"
-        )
-    if opts.max_batch < 1:
-        raise ReproError(
-            f"--max-batch must be at least 1, got {opts.max_batch}"
-        )
-    if opts.peer_timeout <= 0:
-        raise ReproError(
-            f"--peer-timeout must be positive, got {opts.peer_timeout}"
-        )
-    if opts.publish_fanout < 0:
-        raise ReproError(
-            "--publish-fanout must be >= 0 (0 = all peers), got "
-            f"{opts.publish_fanout}"
-        )
+    _check_cache_opts(opts.cache_dir, opts.cache_entries, "--cache-dir")
 
     from repro.serve.server import run_server
 
@@ -505,6 +507,10 @@ def cmd_serve(args: Sequence[str]) -> int:
 def build_dispatch_parser() -> argparse.ArgumentParser:
     """The ``repro dispatch`` argument parser (see
     :func:`build_serve_parser` for why this is a named builder)."""
+    from repro.dispatch import ring, router
+    from repro.resilience import breaker
+    from repro.serve import http
+
     parser = argparse.ArgumentParser(
         prog="repro dispatch",
         description=(
@@ -515,88 +521,92 @@ def build_dispatch_parser() -> argparse.ArgumentParser:
             "over along the ring when a replica goes down."
         ),
     )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8080,
-        metavar="N",
-        help="listen port; 0 picks a free one (default 8080)",
-    )
+    _add_listener(parser)
     parser.add_argument(
         "--replica",
         action="append",
         metavar="HOST:PORT",
-        default=None,
         help="one replica address; repeat for each replica (required)",
     )
     parser.add_argument(
         "--vnodes",
         type=int,
-        default=64,
+        default=ring.DEFAULT_VNODES,
         metavar="N",
-        help="virtual nodes per replica on the hash ring (default 64)",
+        help=(
+            "virtual nodes per replica on the hash ring "
+            "(default %(default)s)"
+        ),
     )
     parser.add_argument(
         "--health-interval",
         type=float,
-        default=1.0,
+        default=router.DEFAULT_HEALTH_INTERVAL_S,
         metavar="S",
-        help="seconds between /healthz probe sweeps (default 1)",
+        help="seconds between /healthz probe sweeps (default %(default)s)",
     )
     parser.add_argument(
         "--probe-timeout",
         type=float,
-        default=2.0,
+        default=router.DEFAULT_PROBE_TIMEOUT_S,
         metavar="S",
-        help="per-probe timeout; slower counts as down (default 2)",
+        help=(
+            "per-probe timeout; slower counts as down "
+            "(default %(default)s)"
+        ),
     )
     parser.add_argument(
         "--request-timeout",
         type=float,
-        default=120.0,
+        default=router.DEFAULT_REQUEST_TIMEOUT_S,
         metavar="S",
-        help="end-to-end timeout per proxied request (default 120)",
+        help=(
+            "end-to-end timeout per proxied request "
+            "(default %(default)s)"
+        ),
     )
     parser.add_argument(
         "--drain-timeout",
         type=float,
-        default=10.0,
+        default=http.DEFAULT_DRAIN_TIMEOUT_S,
         metavar="S",
-        help="graceful-shutdown wait for in-flight requests (default 10s)",
+        help=(
+            "graceful-shutdown wait for in-flight requests "
+            "(default %(default)ss)"
+        ),
     )
     parser.add_argument(
         "--retry-attempts",
         type=int,
-        default=0,
+        default=router.DEFAULT_RETRY_ATTEMPTS,
         metavar="N",
         help=(
             "max replica attempts per request; 0 walks the whole "
-            "ring preference (default 0)"
+            "ring preference (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--retry-base-ms",
         type=float,
-        default=25.0,
+        default=router.DEFAULT_RETRY_BASE_S * 1000.0,
         metavar="MS",
-        help="base backoff before the second attempt (default 25)",
+        help=(
+            "base backoff before the second attempt "
+            "(default %(default)s)"
+        ),
     )
     parser.add_argument(
         "--retry-max-ms",
         type=float,
-        default=250.0,
+        default=router.DEFAULT_RETRY_MAX_BACKOFF_S * 1000.0,
         metavar="MS",
-        help="backoff cap across the failover walk (default 250)",
+        help=(
+            "backoff cap across the failover walk (default %(default)s)"
+        ),
     )
     parser.add_argument(
         "--deadline-ms",
         type=float,
-        default=None,
         metavar="MS",
         help=(
             "default per-request deadline budget; requests carrying "
@@ -607,21 +617,21 @@ def build_dispatch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--breaker-threshold",
         type=int,
-        default=3,
+        default=breaker.DEFAULT_FAILURE_THRESHOLD,
         metavar="N",
         help=(
             "consecutive failures that open a replica's circuit "
-            "breaker (default 3)"
+            "breaker (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--breaker-reset",
         type=float,
-        default=5.0,
+        default=breaker.DEFAULT_RESET_TIMEOUT_S,
         metavar="S",
         help=(
             "seconds an open breaker waits before admitting a "
-            "half-open probe (default 5)"
+            "half-open probe (default %(default)s)"
         ),
     )
     return parser
@@ -634,37 +644,6 @@ def cmd_dispatch(args: Sequence[str]) -> int:
     if not opts.replica:
         raise ReproError(
             "pass at least one --replica HOST:PORT to dispatch to"
-        )
-    if opts.vnodes < 1:
-        raise ReproError(f"--vnodes must be at least 1, got {opts.vnodes}")
-    if opts.health_interval <= 0:
-        raise ReproError(
-            f"--health-interval must be positive, got "
-            f"{opts.health_interval}"
-        )
-    for flag, value in (
-        ("--probe-timeout", opts.probe_timeout),
-        ("--request-timeout", opts.request_timeout),
-        ("--drain-timeout", opts.drain_timeout),
-        ("--retry-base-ms", opts.retry_base_ms),
-        ("--retry-max-ms", opts.retry_max_ms),
-        ("--breaker-reset", opts.breaker_reset),
-    ):
-        if value <= 0:
-            raise ReproError(f"{flag} must be positive, got {value}")
-    if opts.retry_attempts < 0:
-        raise ReproError(
-            "--retry-attempts must be >= 0 (0 = walk the whole "
-            f"ring), got {opts.retry_attempts}"
-        )
-    if opts.breaker_threshold < 1:
-        raise ReproError(
-            "--breaker-threshold must be at least 1, got "
-            f"{opts.breaker_threshold}"
-        )
-    if opts.deadline_ms is not None and opts.deadline_ms <= 0:
-        raise ReproError(
-            f"--deadline-ms must be positive, got {opts.deadline_ms}"
         )
 
     from repro.dispatch.router import run_router

@@ -13,10 +13,13 @@ from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.engine.algorithms import DEFAULT_ALGORITHM
 from repro.engine.job import GraphSpec, JobSpec
+from repro.errors import ConfigError
 from repro.graphs.registry import graph_names
+from repro.scheduling.resources import DEFAULT_RESOURCES
 
-DEFAULT_CONSTRAINTS: Sequence[str] = ("2+/-,2*",)
+DEFAULT_CONSTRAINTS: Sequence[str] = (DEFAULT_RESOURCES,)
 DEFAULT_ALGORITHMS: Sequence[str] = (DEFAULT_ALGORITHM,)
+DEFAULT_BASE_SEED = 0
 
 
 def cross(
@@ -49,7 +52,7 @@ def registry_sweep(
 def random_dag_sweep(
     sizes: Sequence[int],
     count: int = 1,
-    base_seed: int = 0,
+    base_seed: int = DEFAULT_BASE_SEED,
     family: str = "layered",
     constraints: Sequence[str] = DEFAULT_CONSTRAINTS,
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
@@ -62,10 +65,14 @@ def random_dag_sweep(
     deterministic population and two sweeps with different ``base_seed``
     never collide in the cache.
     """
+    if count < 1:
+        raise ConfigError(f"count must be >= 1, got {count}")
     graphs: List[GraphSpec] = []
     seed = base_seed
     for size in sizes:
-        for _ in range(max(0, count)):
+        if size < 1:
+            raise ConfigError(f"sizes must be >= 1, got {size}")
+        for _ in range(count):
             graphs.append(
                 GraphSpec.random(
                     family, num_nodes=size, seed=seed, **params

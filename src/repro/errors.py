@@ -12,6 +12,15 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
+class ConfigError(ReproError, ValueError):
+    """Raised for an out-of-range or conflicting configuration value.
+
+    Also a :class:`ValueError`, so callers that catch the standard
+    type keep working; the CLI reports it like any other
+    :class:`ReproError` (exit code 2).
+    """
+
+
 class GraphError(ReproError):
     """Raised for malformed dataflow / precedence graphs."""
 

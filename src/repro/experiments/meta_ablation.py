@@ -19,7 +19,7 @@ from repro.core.scheduler import threaded_schedule
 from repro.experiments.tables import render_table
 from repro.graphs.random_dags import random_layered_dag
 from repro.scheduling.list_scheduler import ListPriority, list_schedule
-from repro.scheduling.resources import ResourceSet
+from repro.scheduling.resources import DEFAULT_RESOURCES, ResourceSet
 
 
 @dataclass
@@ -49,7 +49,7 @@ class AblationSummary:
 def meta_ablation(
     num_graphs: int = 20,
     num_nodes: int = 60,
-    constraint: str = "2+/-,2*",
+    constraint: str = DEFAULT_RESOURCES,
     random_orders: int = 3,
     seed: int = 2024,
 ) -> List[AblationSummary]:

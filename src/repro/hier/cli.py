@@ -17,17 +17,20 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.engine.algorithms import FDS_SLACK, capable
+from repro.engine.batch import DEFAULT_WORKERS
 from repro.errors import ReproError
 from repro.graphs.random_dags import random_hier_dag
 from repro.graphs.registry import get_graph
 from repro.hier.orchestrator import (
     DEFAULT_MAX_ROUNDS,
+    DEFAULT_SUBGRAPH_ALGORITHM,
     BatchEngine,
     EngineBackend,
     ServeBackend,
     hier_schedule,
 )
 from repro.ir.partition import DEFAULT_MAX_OPS
+from repro.resilience.policy import DEFAULT_MAX_ATTEMPTS, RetryPolicy
 
 REPORT_FORMAT = "repro-hier-v1"
 
@@ -60,7 +63,6 @@ def build_hier_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--random",
         type=int,
-        default=None,
         metavar="N",
         help="schedule a seeded N-op random hierarchical DAG instead",
     )
@@ -69,22 +71,22 @@ def build_hier_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="seed for --random (default 0)",
+        help="seed for --random (default %(default)s)",
     )
     parser.add_argument(
         "--resources",
         "-r",
         default="4+/-,4*",
         metavar="SPEC",
-        help='resource constraint per part (default "4+/-,4*")',
+        help="resource constraint per part (default %(default)s)",
     )
     parser.add_argument(
         "--algorithm",
         "-a",
-        default="force-directed",
+        default=DEFAULT_SUBGRAPH_ALGORITHM,
         metavar="ALGO",
         help=(
-            "window-capable subgraph algorithm (default force-directed); "
+            "window-capable subgraph algorithm (default %(default)s); "
             "known: " + ", ".join(capable("windows"))
         ),
     )
@@ -93,12 +95,11 @@ def build_hier_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_OPS,
         metavar="N",
-        help=f"target ops per part (default {DEFAULT_MAX_OPS})",
+        help="target ops per part (default %(default)s)",
     )
     parser.add_argument(
         "--parts",
         type=int,
-        default=None,
         metavar="N",
         help="exact part count (overrides --max-ops)",
     )
@@ -107,10 +108,7 @@ def build_hier_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_ROUNDS,
         metavar="N",
-        help=(
-            f"round budget including the seed round "
-            f"(default {DEFAULT_MAX_ROUNDS})"
-        ),
+        help="round budget including the seed round (default %(default)s)",
     )
     parser.add_argument(
         "--slack",
@@ -118,14 +116,13 @@ def build_hier_parser() -> argparse.ArgumentParser:
         default=FDS_SLACK,
         metavar="N",
         help=(
-            f"extra steps above the windowed ASAP for seed-round "
-            f"boundary pins (default {FDS_SLACK})"
+            "extra steps above the windowed ASAP for seed-round "
+            "boundary pins (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--target",
         metavar="HOST:PORT",
-        default=None,
         help=(
             "POST subgraph jobs to this repro serve / dispatch "
             "address instead of scheduling locally"
@@ -134,27 +131,26 @@ def build_hier_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=DEFAULT_WORKERS,
         metavar="N",
         help=(
             "local worker processes, or concurrent requests against "
-            "--target (default 1)"
+            "--target (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--retry-attempts",
         type=int,
-        default=3,
+        default=DEFAULT_MAX_ATTEMPTS,
         metavar="N",
         help=(
             "max attempts per subgraph request against --target; "
-            "0 retries until the exchange succeeds (default 3)"
+            "0 retries until the exchange succeeds (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--json",
         metavar="PATH",
-        default=None,
         help="write the machine-readable run report to PATH",
     )
     return parser
@@ -168,13 +164,9 @@ def cmd_hier(args: Sequence[str]) -> int:
         raise ReproError("pass a benchmark name or --random N")
     if opts.graph is not None and opts.random is not None:
         raise ReproError("pass either a benchmark name or --random, not both")
-    if opts.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {opts.workers}")
-    if opts.retry_attempts < 0:
-        raise ReproError(
-            "--retry-attempts must be >= 0 (0 = retry until the "
-            f"exchange succeeds), got {opts.retry_attempts}"
-        )
+    # Built up front, with or without --target, so a bad value fails
+    # before any graph is built.
+    retry = RetryPolicy(max_attempts=opts.retry_attempts)
 
     if opts.random is not None:
         dfg = random_hier_dag(opts.random, seed=opts.seed)
@@ -186,14 +178,10 @@ def cmd_hier(args: Sequence[str]) -> int:
     backend = None
     engine: Optional[BatchEngine] = None
     if opts.target is not None:
-        from repro.resilience import RetryPolicy
-
-        backend = ServeBackend(
-            opts.target,
-            workers=opts.workers,
-            retry=RetryPolicy(max_attempts=opts.retry_attempts),
-        )
-    elif opts.workers > 1:
+        backend = ServeBackend(opts.target, workers=opts.workers, retry=retry)
+    elif opts.workers != DEFAULT_WORKERS:
+        # Any other count, out-of-range ones included, goes to the
+        # engine, which checks it.
         engine = BatchEngine(
             workers=opts.workers, capture_schedules=True
         ).start()

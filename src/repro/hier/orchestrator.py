@@ -56,7 +56,7 @@ from repro.engine.algorithms import (
 )
 from repro.engine.batch import BatchEngine, execute_job
 from repro.engine.job import GraphSpec, JobResult, JobSpec
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.partition import (
     DEFAULT_MAX_OPS,
@@ -74,6 +74,7 @@ from repro.scheduling.resources import ResourceSet
 
 __all__ = [
     "DEFAULT_MAX_ROUNDS",
+    "DEFAULT_SUBGRAPH_ALGORITHM",
     "EngineBackend",
     "HierOrchestrator",
     "HierResult",
@@ -84,6 +85,10 @@ __all__ = [
 
 #: Default feedback-round budget (seed round included).
 DEFAULT_MAX_ROUNDS = 3
+
+#: Default subgraph algorithm: frame-respecting, so boundary windows
+#: bind it.
+DEFAULT_SUBGRAPH_ALGORITHM = "force-directed"
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +174,9 @@ class ServeBackend:
             host=host or "127.0.0.1", port=port, timeout=timeout
         )
         self.target = f"{host or '127.0.0.1'}:{port}"
-        self.workers = max(1, int(workers))
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
+        self.workers = int(workers)
         self.retry = retry or RetryPolicy(
             max_attempts=3, base_s=0.2, max_backoff_s=2.0
         )
@@ -319,7 +326,7 @@ class HierOrchestrator:
     def __init__(
         self,
         resources,
-        algorithm: str = "force-directed",
+        algorithm: str = DEFAULT_SUBGRAPH_ALGORITHM,
         max_ops: int = DEFAULT_MAX_OPS,
         num_parts: Optional[int] = None,
         refine_passes: int = DEFAULT_REFINE_PASSES,
@@ -560,7 +567,7 @@ class HierOrchestrator:
 def hier_schedule(
     dfg: DataFlowGraph,
     resources,
-    algorithm: str = "force-directed",
+    algorithm: str = DEFAULT_SUBGRAPH_ALGORITHM,
     max_ops: int = DEFAULT_MAX_OPS,
     num_parts: Optional[int] = None,
     refine_passes: int = DEFAULT_REFINE_PASSES,

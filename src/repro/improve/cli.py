@@ -20,6 +20,7 @@ from repro.engine.batch import BatchEngine
 from repro.errors import ReproError
 from repro.improve.improver import Improver
 from repro.scheduling.bnb import DEFAULT_SLICE_NODES
+from repro.scheduling.resources import DEFAULT_RESOURCES
 
 REPORT_FORMAT = "repro-improve-v1"
 
@@ -49,14 +50,13 @@ def build_improve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resources",
         "-r",
-        default="2+/-,2*",
+        default=DEFAULT_RESOURCES,
         metavar="SPEC",
-        help='resource constraint (default "2+/-,2*")',
+        help="resource constraint (default %(default)s)",
     )
     parser.add_argument(
         "--nodes",
         type=int,
-        default=None,
         metavar="N",
         help=(
             "node-expansion budget for this run (default unlimited: "
@@ -66,7 +66,6 @@ def build_improve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--deadline",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="wall-clock budget for this run (default unlimited)",
     )
@@ -76,14 +75,13 @@ def build_improve_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SLICE_NODES,
         metavar="N",
         help=(
-            f"nodes per interruptible slice between budget checks and "
-            f"rewrites (default {DEFAULT_SLICE_NODES})"
+            "nodes per interruptible slice between budget checks and "
+            "rewrites (default %(default)s)"
         ),
     )
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
-        default=None,
         help=(
             "on-disk result cache to improve (default: a fresh "
             "in-memory cache, useful only for one-off proofs)"
@@ -97,7 +95,6 @@ def build_improve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json",
         metavar="PATH",
-        default=None,
         help="write the machine-readable run report to PATH",
     )
     return parser
@@ -107,14 +104,6 @@ def cmd_improve(args: Sequence[str]) -> int:
     """Entry point for ``repro improve``."""
     parser = build_improve_parser()
     opts = parser.parse_args(list(args))
-    if opts.nodes is not None and opts.nodes <= 0:
-        raise ReproError(f"--nodes must be positive, got {opts.nodes}")
-    if opts.deadline is not None and opts.deadline <= 0:
-        raise ReproError(f"--deadline must be positive, got {opts.deadline}")
-    if opts.slice_nodes <= 0:
-        raise ReproError(
-            f"--slice-nodes must be positive, got {opts.slice_nodes}"
-        )
 
     engine = BatchEngine(
         cache_dir=opts.cache_dir, capture_schedules=True

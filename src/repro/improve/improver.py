@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.engine.batch import BatchEngine
 from repro.engine.job import JobSpec, JobResult, anytime_meta
 from repro.engine.keys import CacheKeyResolver
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.scheduling.base import artifact_start_times, schedule_artifact
 from repro.scheduling.bnb import DEFAULT_SLICE_NODES, AnytimeBnB
 
@@ -57,9 +57,11 @@ class Improver:
         resources,
         slice_nodes: int = DEFAULT_SLICE_NODES,
     ):
+        if slice_nodes < 1:
+            raise ConfigError(f"slice_nodes must be >= 1, got {slice_nodes}")
         self.engine = engine
         self.spec = JobSpec.make(graph, resources, "bnb-anytime")
-        self.slice_nodes = max(1, int(slice_nodes))
+        self.slice_nodes = int(slice_nodes)
         resolver = CacheKeyResolver()
         self.graph_hash = resolver.graph_hash(self.spec.graph)
         self.key = self.spec.cache_key(self.graph_hash)
@@ -187,8 +189,12 @@ class Improver:
         happen — ``incumbent``/``bound`` improvements, then a terminal
         ``optimal`` or ``exhausted``.  Returns the run summary.
         """
-        if nodes is not None and nodes <= 0:
-            raise SchedulingError(f"node budget must be positive, got {nodes}")
+        if nodes is not None and nodes < 1:
+            raise SchedulingError(f"nodes must be >= 1, got {nodes}")
+        if deadline_ms is not None and deadline_ms <= 0:
+            raise SchedulingError(
+                f"deadline_ms must be > 0, got {deadline_ms}"
+            )
         emit = on_event or (lambda event: None)
         start_nodes = self.solver.nodes_total
         deadline = (

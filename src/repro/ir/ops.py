@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, Mapping, Optional
 
+from repro.errors import ConfigError
+
 
 class OpKind(enum.Enum):
     """Kinds of operations that may appear in a dataflow graph."""
@@ -164,9 +166,13 @@ class DelayModel:
             if not isinstance(kind, OpKind):
                 raise TypeError(f"delay model keys must be OpKind, got {kind!r}")
             if delay < 0:
-                raise ValueError(f"delay for {kind} must be >= 0, got {delay}")
+                raise ConfigError(
+                    f"delay for {kind} must be >= 0, got {delay}"
+                )
         if default < 0:
-            raise ValueError(f"default delay must be >= 0, got {default}")
+            raise ConfigError(
+                f"default delay must be >= 0, got {default}"
+            )
         self._delays = dict(delays)
         self._default = default
 

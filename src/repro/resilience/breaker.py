@@ -35,6 +35,14 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict
 
+from repro.errors import ConfigError
+
+#: Consecutive failures that open a breaker.
+DEFAULT_FAILURE_THRESHOLD = 3
+
+#: Seconds an open breaker waits before admitting a probe.
+DEFAULT_RESET_TIMEOUT_S = 5.0
+
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
@@ -49,14 +57,18 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        failure_threshold: int = 5,
-        reset_timeout_s: float = 10.0,
+        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
+        reset_timeout_s: float = DEFAULT_RESET_TIMEOUT_S,
         clock: Callable[[], float] = time.monotonic,
     ):
         if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_timeout_s < 0:
-            raise ValueError("reset_timeout_s must be >= 0")
+            raise ConfigError(
+                f"failure_threshold must be >= 1, got {failure_threshold}"
+            )
+        if reset_timeout_s <= 0:
+            raise ConfigError(
+                f"reset_timeout_s must be > 0, got {reset_timeout_s}"
+            )
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
         self._clock = clock

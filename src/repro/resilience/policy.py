@@ -28,6 +28,11 @@ import random
 import time
 from typing import Callable, Dict, Mapping, Optional
 
+from repro.errors import ConfigError
+
+#: Total tries a :class:`RetryPolicy` allows unless told otherwise.
+DEFAULT_MAX_ATTEMPTS = 3
+
 #: The hop-by-hop budget header.  A client (or the router, on the
 #: client's behalf) sends the *remaining* budget in integer
 #: milliseconds; every hop subtracts its own elapsed time before
@@ -59,16 +64,22 @@ class RetryPolicy:
 
     def __init__(
         self,
-        max_attempts: int = 3,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         base_s: float = 0.05,
         max_backoff_s: float = 2.0,
         jitter: bool = True,
         rng: Optional[random.Random] = None,
     ):
         if max_attempts < 0:
-            raise ValueError("max_attempts must be >= 0")
+            raise ConfigError(
+                f"max_attempts must be >= 0, got {max_attempts}"
+            )
         if base_s <= 0:
-            raise ValueError("base_s must be > 0")
+            raise ConfigError(f"base_s must be > 0, got {base_s}")
+        if max_backoff_s <= 0:
+            raise ConfigError(
+                f"max_backoff_s must be > 0, got {max_backoff_s}"
+            )
         self.max_attempts = max_attempts
         self.base_s = base_s
         self.max_backoff_s = max(base_s, max_backoff_s)

@@ -43,6 +43,9 @@ from repro.errors import ResourceError
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.ops import OpKind
 
+#: The constraint every front end assumes when a request or command
+#: names none: two ALUs and two multipliers.
+DEFAULT_RESOURCES = "2+/-,2*"
 
 @dataclass(frozen=True)
 class FuType:

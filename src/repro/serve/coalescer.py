@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine.batch import BatchEngine
 from repro.engine.job import JobResult, JobSpec
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.serve.metrics import ServiceMetrics
 
 #: Flush when the buffer reaches this many unique jobs...
@@ -76,7 +76,7 @@ class RequestCoalescer:
         batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
     ):
         if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+            raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         self.engine = engine
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.max_batch = max_batch

@@ -30,8 +30,14 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, Optional, Tuple, Union
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.serve.protocol import encode_json, error_payload
+
+#: Bind address unless told otherwise: loopback only.
+DEFAULT_HOST = "127.0.0.1"
+
+#: How long a graceful shutdown waits for in-flight work.
+DEFAULT_DRAIN_TIMEOUT_S = 10.0
 
 #: Hard cap on request bodies (inline graphs get large, not huge).
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -102,10 +108,24 @@ class HttpServerCore:
     state on top).  ``on_request_error`` is a counter hook: it fires
     once per request the core itself had to refuse or that dispatch
     crashed out of, so front ends can account errors without owning
-    the transport."""
+    the transport.  Subclasses also provide ``start()`` and ``stop()``
+    (the latter returns whether the drain finished inside
+    ``drain_timeout_s``), which :meth:`run_until_signal` drives."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+    def __init__(
+        self,
+        host: str = DEFAULT_HOST,
+        port: int = 0,
+        drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
+    ):
+        if not 0 <= port <= 65535:
+            raise ConfigError(f"port must be in 0..65535, got {port}")
+        if drain_timeout_s <= 0:
+            raise ConfigError(
+                f"drain_timeout_s must be > 0, got {drain_timeout_s}"
+            )
         self.host = host
+        self.drain_timeout_s = drain_timeout_s
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._bound_port: Optional[int] = None
@@ -148,6 +168,57 @@ class HttpServerCore:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+
+    def run_until_signal(self, name: str, details: str, pending: str) -> int:
+        """Serve until SIGINT/SIGTERM, then drain; the process exit code.
+
+        ``name`` prefixes each status line, ``details`` follows the
+        address in the listening banner, and ``pending`` names the work
+        a timed-out drain abandons.  Exit codes: 0 = drained clean;
+        1 = the drain timed out and in-flight work was abandoned
+        (orchestrators can tell lost work apart from a clean stop
+        without scraping logs).
+        """
+        try:
+            drained = asyncio.run(
+                self._serve_until_signal(name, details, pending)
+            )
+        except KeyboardInterrupt:
+            return 0
+        return 0 if drained else 1
+
+    async def _serve_until_signal(
+        self, name: str, details: str, pending: str
+    ) -> bool:
+        import signal
+
+        loop = asyncio.get_running_loop()
+        stop_event = asyncio.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(signum, stop_event.set)
+            except (NotImplementedError, RuntimeError):
+                pass  # non-Unix event loops
+        await self.start()
+        print(
+            f"{name}: listening on http://{self.host}:{self.port}{details}",
+            flush=True,
+        )
+        serve_task = asyncio.ensure_future(self.serve_forever())
+        await stop_event.wait()
+        print(f"{name}: draining...", flush=True)
+        serve_task.cancel()
+        try:
+            await serve_task
+        except (asyncio.CancelledError, Exception):
+            pass
+        drained = await self.stop()
+        print(
+            f"{name}: shutdown "
+            + ("clean" if drained else f"timed out waiting for {pending}"),
+            flush=True,
+        )
+        return drained
 
     # ------------------------------------------------------------------
     # Hooks.

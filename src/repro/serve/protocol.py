@@ -55,10 +55,9 @@ from repro.errors import ReproError
 from repro.graphs.registry import graph_names
 from repro.ir.dfg import DataFlowGraph
 from repro.ir.serialize import dfg_from_dict
+from repro.scheduling.resources import DEFAULT_RESOURCES
 
 RESPONSE_FORMAT = "repro-serve-v1"
-
-DEFAULT_RESOURCES = "2+/-,2*"
 
 _REQUEST_FIELDS = frozenset(
     {

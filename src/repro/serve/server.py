@@ -47,9 +47,9 @@ import time
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro import faultlab
-from repro.engine.batch import BatchEngine
+from repro.engine.batch import DEFAULT_WORKERS, BatchEngine
 from repro.engine.cache import _is_key
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.improve import Improver
 from repro.serve import protocol
 from repro.store import (
@@ -58,12 +58,19 @@ from repro.store import (
     PeerError,
     parse_entry,
 )
+from repro.store.cluster import (
+    DEFAULT_PUBLISH,
+    DEFAULT_PUBLISH_FANOUT,
+    check_peer_options,
+)
 from repro.serve.coalescer import (
     DEFAULT_BATCH_WINDOW_MS,
     DEFAULT_MAX_BATCH,
     RequestCoalescer,
 )
 from repro.serve.http import (
+    DEFAULT_DRAIN_TIMEOUT_S,
+    DEFAULT_HOST,
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
     Body,
@@ -87,9 +94,6 @@ __all__ = [
 #: Admission bound: schedule requests in flight before 429s start.
 DEFAULT_MAX_QUEUE = 256
 
-#: How long a graceful shutdown waits for in-flight work.
-DEFAULT_DRAIN_TIMEOUT_S = 10.0
-
 
 class ScheduleServer(HttpServerCore):
     """One serving process: listener + coalescer + batch engine."""
@@ -97,9 +101,9 @@ class ScheduleServer(HttpServerCore):
     def __init__(
         self,
         engine: Optional[BatchEngine] = None,
-        host: str = "127.0.0.1",
+        host: str = DEFAULT_HOST,
         port: int = 0,
-        workers: int = 1,
+        workers: int = DEFAULT_WORKERS,
         cache_dir: Optional[str] = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_batch: int = DEFAULT_MAX_BATCH,
@@ -108,16 +112,22 @@ class ScheduleServer(HttpServerCore):
         max_cache_entries: Optional[int] = None,
         peers: Iterable[str] = (),
         peer_timeout_s: float = DEFAULT_PEER_TIMEOUT_S,
-        publish: str = "async",
-        publish_fanout: int = 1,
+        publish: str = DEFAULT_PUBLISH,
+        publish_fanout: int = DEFAULT_PUBLISH_FANOUT,
     ):
-        super().__init__(host=host, port=port)
+        super().__init__(
+            host=host, port=port, drain_timeout_s=drain_timeout_s
+        )
+        if max_queue < 1:
+            raise ConfigError(f"max_queue must be >= 1, got {max_queue}")
         peers = tuple(peers)
         if engine is not None and peers:
-            raise ValueError(
+            raise ConfigError(
                 "pass `peers` only when the server builds its own "
                 "engine; wrap your cache in a ClusterStore instead"
             )
+        if not peers:
+            check_peer_options(peer_timeout_s, publish, publish_fanout)
         if engine is None:
             # Rich results by design: artifacts always captured, gaps
             # always computed (bounded to small graphs by the engine's
@@ -148,7 +158,6 @@ class ScheduleServer(HttpServerCore):
                 )
         self.engine = engine
         self.max_queue = max_queue
-        self.drain_timeout_s = drain_timeout_s
         self.metrics = ServiceMetrics()
         self.coalescer = RequestCoalescer(
             engine,
@@ -187,11 +196,9 @@ class ScheduleServer(HttpServerCore):
         # requests' computes enqueue publishes) and *before* the engine
         # goes down — this is what makes a SIGTERM'd replica's results
         # survive on its peers.  Runs off-loop: flush polls with sleeps.
-        closer = getattr(self.engine.cache, "close", None)
-        if callable(closer):
-            await asyncio.get_running_loop().run_in_executor(
-                None, closer
-            )
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.engine.cache.close
+        )
         self.engine.shutdown()
         return drained
 
@@ -498,54 +505,16 @@ class ScheduleServer(HttpServerCore):
             task.finish()
 
 
-async def _run_until_signal(server: ScheduleServer) -> bool:
-    """Serve until SIGINT/SIGTERM, then drain; True = drained clean."""
-    import signal
-
-    loop = asyncio.get_running_loop()
-    stop_event = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop_event.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # non-Unix event loops
-    await server.start()
-    print(
-        f"repro serve: listening on http://{server.host}:{server.port} "
-        f"(workers={server.engine.workers}, "
-        f"max_queue={server.max_queue})",
-        flush=True,
-    )
-    serve_task = asyncio.ensure_future(server.serve_forever())
-    await stop_event.wait()
-    print("repro serve: draining...", flush=True)
-    serve_task.cancel()
-    try:
-        await serve_task
-    except (asyncio.CancelledError, Exception):
-        pass
-    drained = await server.stop()
-    print(
-        "repro serve: shutdown "
-        + ("clean" if drained else "timed out waiting for in-flight jobs"),
-        flush=True,
-    )
-    return drained
-
-
 def run_server(**kwargs) -> int:
-    """Blocking entry point used by ``repro serve``.
-
-    Exit codes: 0 = served and drained clean; 1 = the graceful drain
-    timed out and in-flight jobs were abandoned (orchestrators can
-    tell lost work apart from a clean stop without scraping logs).
-    """
+    """Blocking entry point used by ``repro serve``; the exit code of
+    :meth:`HttpServerCore.run_until_signal`."""
     server = ScheduleServer(**kwargs)
-    try:
-        drained = asyncio.run(_run_until_signal(server))
-    except KeyboardInterrupt:
-        return 0
-    return 0 if drained else 1
+    return server.run_until_signal(
+        "repro serve",
+        f" (workers={server.engine.workers}, "
+        f"max_queue={server.max_queue})",
+        "in-flight jobs",
+    )
 
 
 def metrics_snapshot(server: ScheduleServer) -> Dict:

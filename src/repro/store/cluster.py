@@ -37,15 +37,14 @@ one background thread that touches only the network and the counter
 lock — never the cache structures.
 
 >>> store = ClusterStore([])          # no peers: a plain local store
->>> store.lookup("0" * 64) is None
-True
+>>> store.fetch_missing(["0" * 64])
+{}
 >>> store.peer_stats()["peer_hits"]
 0
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import logging
@@ -58,18 +57,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 from repro import metrics
 from repro.engine.cache import ENTRY_FORMAT, ResultCache
 from repro.engine.job import JobResult
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.resilience import CircuitBreaker, RetryPolicy
+from repro.resilience.breaker import (
+    DEFAULT_FAILURE_THRESHOLD,
+    DEFAULT_RESET_TIMEOUT_S,
+)
 from repro.store import peers as peers_mod
 from repro.store.peers import DEFAULT_PEER_TIMEOUT_S, PeerError
 
 logger = logging.getLogger(__name__)
-
-#: Consecutive failures that open a peer's circuit breaker.
-DEFAULT_BREAKER_THRESHOLD = 3
-
-#: Seconds an open peer breaker waits before admitting a probe.
-DEFAULT_BREAKER_RESET_S = 5.0
 
 #: Publish deliveries queued but not yet attempted before the async
 #: publisher starts shedding (a shed delivery counts a publish_error).
@@ -78,7 +75,38 @@ PUBLISH_QUEUE_LIMIT = 1024
 #: Modes for :class:`ClusterStore`'s ``publish`` parameter.
 PUBLISH_MODES = ("off", "async", "sync")
 
+#: How fresh computes reach peers unless told otherwise.
+DEFAULT_PUBLISH = "async"
+
+#: Ring successors that receive each fresh entry (0 = every peer).
+DEFAULT_PUBLISH_FANOUT = 1
+
 _SENTINEL = object()
+
+
+def check_peer_options(
+    peer_timeout_s: float, publish: str, publish_fanout: int
+) -> None:
+    """Raise :class:`ConfigError` unless the peer-tier options are valid.
+
+    :class:`ClusterStore` checks them on construction; a serving
+    process that builds no store (it has no peers) checks them here
+    too, so a bad value fails the same way with or without peers.
+    """
+    if publish not in PUBLISH_MODES:
+        raise ConfigError(
+            f"publish must be one of {'/'.join(PUBLISH_MODES)}, "
+            f"got {publish!r}"
+        )
+    if publish_fanout < 0:
+        raise ConfigError(
+            f"publish_fanout must be >= 0 (0 = all peers), got "
+            f"{publish_fanout}"
+        )
+    if peer_timeout_s <= 0:
+        raise ConfigError(
+            f"peer_timeout_s must be > 0, got {peer_timeout_s}"
+        )
 
 
 def entry_payload_of(result: JobResult) -> Dict:
@@ -158,14 +186,14 @@ class ClusterStore(ResultCache):
         cache_dir: Union[str, Path, None] = None,
         max_entries: Optional[int] = None,
         peer_timeout_s: float = DEFAULT_PEER_TIMEOUT_S,
-        publish: str = "async",
-        publish_fanout: int = 1,
+        publish: str = DEFAULT_PUBLISH,
+        publish_fanout: int = DEFAULT_PUBLISH_FANOUT,
         vnodes: Optional[int] = None,
         fetch: Optional[Callable] = None,
         push: Optional[Callable] = None,
         retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_reset_s: float = DEFAULT_BREAKER_RESET_S,
+        breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD,
+        breaker_reset_s: float = DEFAULT_RESET_TIMEOUT_S,
     ):
         # Imported here, not at module level: repro.dispatch's package
         # init pulls in the router, which imports the serve layer,
@@ -173,21 +201,8 @@ class ClusterStore(ResultCache):
         # at construction time.
         from repro.dispatch.ring import DEFAULT_VNODES, HashRing
 
+        check_peer_options(peer_timeout_s, publish, publish_fanout)
         super().__init__(cache_dir, max_entries=max_entries)
-        if publish not in PUBLISH_MODES:
-            raise ReproError(
-                f"publish must be one of {'/'.join(PUBLISH_MODES)}, "
-                f"got {publish!r}"
-            )
-        if publish_fanout < 0:
-            raise ReproError(
-                f"publish_fanout must be >= 0 (0 = all peers), got "
-                f"{publish_fanout}"
-            )
-        if peer_timeout_s <= 0:
-            raise ReproError(
-                f"peer_timeout_s must be positive, got {peer_timeout_s}"
-            )
         self.peer_addresses: Dict[str, tuple] = {}
         for text in peers:
             host, port = peers_mod.parse_address(text)
@@ -298,50 +313,8 @@ class ClusterStore(ResultCache):
             self.peer_misses += 1
         return None
 
-    def lookup(
-        self,
-        key: str,
-        require: Optional[Callable[[JobResult], bool]] = None,
-        strip_artifact: bool = False,
-    ) -> Optional[JobResult]:
-        """The full tier walk: local get, else peer fetch + install.
-
-        The one-call form of what the engine does in two phases.  A
-        fetched entry is installed into the local tiers (without
-        re-publishing — the cluster already holds it) and returned
-        marked ``cached=True``; an entry ``require`` rejects stays
-        installed (so :meth:`peek` can merge payloads) but reads as a
-        miss, exactly like the local-tier contract.
-        """
-        local = self.get(
-            key, require=require, strip_artifact=strip_artifact
-        )
-        if local is not None or not self.peer_addresses:
-            return local
-        fetched = self._fetch_one(key)
-        if fetched is None:
-            return None
-        self.install(fetched)
-        if require is not None and not require(fetched):
-            return None
-        artifact = (
-            None if strip_artifact else copy.deepcopy(fetched.artifact)
-        )
-        return dataclasses.replace(
-            fetched, cached=True, artifact=artifact
-        )
-
     # ------------------------------------------------------------------
     # The cluster tier: publish.
-
-    def install(self, result: JobResult) -> None:
-        """Store an entry in the *local* tiers only (no publish).
-
-        Peer-supplied entries come through here — both fetch installs
-        and ``POST /cache/<key>`` receives — so an entry never echoes
-        back into the cluster it arrived from.
-        """
-        super().put(result)
 
     def put(self, result: JobResult) -> None:
         """Store a fresh local compute, then publish it to the ring.

@@ -5,7 +5,9 @@ Four sync contracts:
 1. every dotted ``repro.*`` reference in the docs resolves to a real
    module (or an attribute of one);
 2. the CLI flags documented in OPERATIONS.md are exactly the flags
-   the ``repro serve`` / ``repro dispatch`` argparsers accept;
+   the ``repro serve`` / ``dispatch`` / ``hier`` / ``improve``
+   argparsers accept, and each flag table's ``default`` column is
+   exactly the parser's defaults;
 3. the ``/metrics`` tables in OPERATIONS.md and the declarations in
    :mod:`repro.metrics` name the same metrics, both directions, and
    every key the live ``/metrics`` payloads carry is documented (and
@@ -88,6 +90,23 @@ def section_of(text: str, heading: str) -> str:
     return body[: follow.start()] if follow else body
 
 
+def flag_table_defaults(section: str) -> dict:
+    """``{flag: default cell}`` per row of a section's flag table."""
+    rows = {}
+    for line in section.splitlines():
+        match = re.match(r"\| `(--[a-z0-9-]+)` \| ([^|]*) \|", line)
+        if match:
+            rows[match.group(1)] = match.group(2).strip()
+    return rows
+
+
+def default_cell(default) -> str:
+    """How OPERATIONS.md writes a parser default: ``—`` when unset."""
+    if default is None or default is False:
+        return "—"
+    return f"`{default}`"
+
+
 def parser_flags(parser) -> set:
     flags = set()
     for action in parser._actions:
@@ -123,6 +142,16 @@ def test_operations_flags_match_parser(heading, builder):
     assert not phantom, (
         f"OPERATIONS.md documents `{heading}` flags the parser does "
         f"not accept: {sorted(phantom)}"
+    )
+    parsed = {
+        option: default_cell(action.default)
+        for action in builder()._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert flag_table_defaults(section) == parsed, (
+        f"the `{heading}` flag table's default column disagrees with "
+        "the parser"
     )
 
 

@@ -1,5 +1,7 @@
 """CLI tests: exit codes, usage messages, bench/batch plumbing."""
 
+import argparse
+import inspect
 import json
 
 import pytest
@@ -28,9 +30,12 @@ def test_unknown_command_exits_2(capsys):
         ["batch", "--resources", "garbage"],
         ["batch", "-a", "simulated-annealing"],
         ["batch", "--random", "0x3"],
+        ["batch", "--random", "5x0"],
         ["bench", "--check", "/nonexistent/baseline.json"],
         ["batch", "HAL", "--cache-entries", "5"],
         ["bench", "--cache-entries", "5"],
+        ["batch", "HAL", "--workers", "0"],
+        ["bench", "--workers", "0"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, capsys):
@@ -218,3 +223,204 @@ class TestServeArgValidation:
         argv = ["serve", "--cache-dir", str(tmp_path / "c"), "--port", "0"]
         assert main(argv) == 2
         assert "is not writable" in capsys.readouterr().err
+
+
+#: One out-of-range value per bounded numeric flag.  ``{tmp}`` is a
+#: fresh directory, for flags that only apply with a cache.
+OUT_OF_RANGE = [
+    ["serve", "--port", "70000"],
+    ["serve", "--port", "-1"],
+    ["serve", "--workers", "0"],
+    ["serve", "--max-queue", "0"],
+    ["serve", "--max-batch", "0"],
+    ["serve", "--drain-timeout", "0"],
+    ["serve", "--peer-timeout", "0"],
+    ["serve", "--publish-fanout", "-1"],
+    ["serve", "--cache-dir", "{tmp}", "--cache-entries", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--port", "70000"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--vnodes", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--health-interval", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--probe-timeout", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--request-timeout", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--drain-timeout", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--retry-attempts", "-1"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--retry-base-ms", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--retry-max-ms", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--deadline-ms", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--breaker-threshold", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--breaker-reset", "0"],
+    ["hier", "--random", "0"],
+    ["hier", "--random", "40", "--workers", "0"],
+    ["hier", "--random", "40", "--target", "127.0.0.1:9", "--workers", "0"],
+    ["hier", "--random", "40", "--retry-attempts", "-1"],
+    ["hier", "--random", "40", "--max-ops", "0"],
+    ["hier", "--random", "40", "--parts", "0"],
+    ["hier", "--random", "40", "--rounds", "0"],
+    ["hier", "--random", "40", "--slack", "-1"],
+    ["improve", "HAL", "--nodes", "0"],
+    ["improve", "HAL", "--deadline", "0"],
+    ["improve", "HAL", "--slice-nodes", "0"],
+]
+
+
+class TestOutOfRangeFlags:
+    """Every bounded flag is checked by the constructor it feeds; the
+    CLI turns that check into exit 2 before any socket or job."""
+
+    @pytest.fixture
+    def side_effects(self, monkeypatch):
+        """Record every bind and every job instead of running it."""
+        from repro.engine.batch import BatchEngine
+        from repro.hier import orchestrator
+        from repro.improve.improver import Improver
+        from repro.serve.http import HttpServerCore
+
+        calls = []
+
+        def record(name):
+            def stub(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran for a rejected argv")
+
+            return stub
+
+        monkeypatch.setattr(HttpServerCore, "listen", record("listen"))
+        monkeypatch.setattr(BatchEngine, "submit", record("submit"))
+        monkeypatch.setattr(
+            orchestrator, "execute_job", record("execute_job")
+        )
+        monkeypatch.setattr(
+            orchestrator.ServeBackend, "run", record("ServeBackend.run")
+        )
+        monkeypatch.setattr(Improver, "step", record("Improver.step"))
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv", OUT_OF_RANGE, ids=lambda argv: " ".join(argv)
+    )
+    def test_exits_2_before_any_work(
+        self, argv, tmp_path, side_effects, capsys
+    ):
+        argv = [arg.format(tmp=tmp_path / "c") for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert side_effects == []
+
+
+def parser_of(command):
+    """The argparse parser behind a ``repro`` command."""
+    from repro.engine import cli
+    from repro.hier.cli import build_hier_parser
+    from repro.improve.cli import build_improve_parser
+
+    if command == "batch":
+        parser = argparse.ArgumentParser()
+        cli._add_common(parser)
+        return parser
+    return {
+        "serve": cli.build_serve_parser,
+        "dispatch": cli.build_dispatch_parser,
+        "hier": build_hier_parser,
+        "improve": build_improve_parser,
+    }[command]()
+
+
+def library_defaults():
+    """``{(command, dest): library default}`` for every flag whose
+    value feeds a library parameter."""
+    from repro.dispatch.router import DispatchRouter
+    from repro.engine.batch import BatchEngine
+    from repro.hier.orchestrator import HierOrchestrator
+    from repro.improve.improver import Improver
+    from repro.resilience import RetryPolicy
+    from repro.scheduling.resources import DEFAULT_RESOURCES
+    from repro.serve.server import ScheduleServer
+
+    def params(target):
+        return {
+            name: param.default
+            for name, param in inspect.signature(target).parameters.items()
+        }
+
+    engine = params(BatchEngine)
+    server = params(ScheduleServer)
+    router = params(DispatchRouter)
+    hier = params(HierOrchestrator)
+    router_retry = DispatchRouter(["127.0.0.1:9"]).retry
+    return {
+        ("batch", "workers"): engine["workers"],
+        ("batch", "cache"): engine["cache_dir"],
+        ("batch", "cache_entries"): engine["max_cache_entries"],
+        ("serve", "host"): server["host"],
+        ("serve", "workers"): server["workers"],
+        ("serve", "cache_dir"): server["cache_dir"],
+        ("serve", "cache_entries"): server["max_cache_entries"],
+        ("serve", "max_queue"): server["max_queue"],
+        ("serve", "max_batch"): server["max_batch"],
+        ("serve", "batch_window_ms"): server["batch_window_ms"],
+        ("serve", "drain_timeout"): server["drain_timeout_s"],
+        ("serve", "peer_timeout"): server["peer_timeout_s"],
+        ("serve", "publish"): server["publish"],
+        ("serve", "publish_fanout"): server["publish_fanout"],
+        ("dispatch", "host"): router["host"],
+        ("dispatch", "vnodes"): router["vnodes"],
+        ("dispatch", "health_interval"): router["health_interval_s"],
+        ("dispatch", "probe_timeout"): router["probe_timeout_s"],
+        ("dispatch", "request_timeout"): router["request_timeout_s"],
+        ("dispatch", "drain_timeout"): router["drain_timeout_s"],
+        ("dispatch", "retry_attempts"): router_retry.max_attempts,
+        ("dispatch", "retry_base_ms"): router_retry.base_s * 1000.0,
+        ("dispatch", "retry_max_ms"): router_retry.max_backoff_s * 1000.0,
+        ("dispatch", "deadline_ms"): router["deadline_ms"],
+        ("dispatch", "breaker_threshold"): router["breaker_threshold"],
+        ("dispatch", "breaker_reset"): router["breaker_reset_s"],
+        ("hier", "algorithm"): hier["algorithm"],
+        ("hier", "max_ops"): hier["max_ops"],
+        ("hier", "parts"): hier["num_parts"],
+        ("hier", "rounds"): hier["max_rounds"],
+        ("hier", "slack"): hier["slack"],
+        ("hier", "workers"): engine["workers"],
+        ("hier", "retry_attempts"): params(RetryPolicy)["max_attempts"],
+        ("improve", "resources"): DEFAULT_RESOURCES,
+        ("improve", "nodes"): params(Improver.run)["nodes"],
+        ("improve", "deadline"): params(Improver.run)["deadline_ms"],
+        ("improve", "slice_nodes"): params(Improver)["slice_nodes"],
+        ("improve", "cache_dir"): engine["cache_dir"],
+    }
+
+
+#: Flags with no library parameter to agree with.  ``--port`` is the
+#: one deliberate disagreement: the CLI listens on 8080, the library
+#: constructors default to 0 (any free port).
+CLI_ONLY = {
+    ("batch", "artifacts"), ("batch", "json"),
+    ("serve", "port"), ("serve", "peer"),
+    ("dispatch", "port"), ("dispatch", "replica"),
+    ("hier", "graph"), ("hier", "random"), ("hier", "seed"),
+    ("hier", "resources"), ("hier", "target"), ("hier", "json"),
+    ("improve", "graph"), ("improve", "quiet"), ("improve", "json"),
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["batch", "serve", "dispatch", "hier", "improve"]
+)
+def test_parser_defaults_are_the_library_defaults(command):
+    expected = {
+        dest: default
+        for (owner, dest), default in library_defaults().items()
+        if owner == command
+    }
+    dests = {
+        action.dest
+        for action in parser_of(command)._actions
+        if action.dest != "help"
+    }
+    cli_only = {dest for owner, dest in CLI_ONLY if owner == command}
+    assert dests == set(expected) | cli_only
+    defaults = {
+        dest: parser_of(command).get_default(dest) for dest in expected
+    }
+    assert defaults == expected

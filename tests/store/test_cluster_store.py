@@ -184,41 +184,6 @@ class TestFetch:
         assert store.peer_stats()["peer_fetch_errors"] == len(PEERS)
 
 
-class TestLookup:
-    def test_lookup_installs_the_fetched_entry(self):
-        key = key_of("a")
-        walk = make_store(RecordingTransport()).ring.preference(key)
-        result = make_result(key)
-        transport = RecordingTransport(
-            holdings={walk[0]: {key: entry_payload_of(result)}}
-        )
-        store = make_store(transport)
-        first = store.lookup(key)
-        assert first.cached and first.length == result.length
-        # Installed locally: the second lookup never hits the network.
-        probes = len(transport.fetches)
-        second = store.lookup(key)
-        assert second.cached and len(transport.fetches) == probes
-        # Installing a fetched entry must not re-publish it.
-        assert transport.pushes == []
-
-    def test_lookup_local_miss_and_peer_miss(self):
-        store = make_store(RecordingTransport())
-        assert store.lookup(key_of("b")) is None
-
-    def test_lookup_require_rejects_but_installs(self):
-        key = key_of("c")
-        walk = make_store(RecordingTransport()).ring.preference(key)
-        result = make_result(key)
-        transport = RecordingTransport(
-            holdings={walk[0]: {key: entry_payload_of(result)}}
-        )
-        store = make_store(transport)
-        assert store.lookup(key, require=lambda r: False) is None
-        # The entry sits in the memory layer for payload merging.
-        assert store.peek(key) is not None
-
-
 class TestPublish:
     def test_put_publishes_to_first_ring_successor(self):
         key = key_of("a")

@@ -56,6 +56,38 @@ class TestPeerResolution:
         again = engine.submit([SPEC])[0]
         assert again.cached and not calls
 
+    def test_fetched_entry_is_installed_without_republishing(self):
+        key, entry = computed_entry()
+        pushes = []
+        store = ClusterStore(
+            PEERS,
+            publish="sync",
+            fetch=lambda host, port, wanted, timeout: entry,
+            push=lambda *args, **kwargs: pushes.append(args),
+        )
+        engine = rich_engine(store)
+        assert engine.submit([SPEC])[0].cached
+        assert store.peek(key) is not None
+        assert pushes == [], "the cluster already holds a fetched entry"
+
+    def test_unservable_fetched_entry_still_merges_its_payload(self):
+        """A peer entry this engine cannot serve (no artifact) is still
+        installed, so the fresh compute that replaces it keeps its gap."""
+        key, entry = computed_entry()
+        assert entry["gap"] is not None
+        lean = dict(entry, artifact=None)
+        store = ClusterStore(
+            PEERS,
+            fetch=lambda host, port, wanted, timeout: lean,
+            push=lambda *a, **k: None,
+        )
+        engine = BatchEngine(cache=store, capture_schedules=True)
+        result = engine.submit([SPEC])[0]
+        assert not result.cached, "an unservable entry is recomputed"
+        stored = store.peek(key)
+        assert stored.artifact is not None
+        assert stored.gap == entry["gap"]
+
     def test_peer_failure_falls_back_to_local_compute(self):
         def fetch(host, port, wanted, timeout):
             raise PeerError("peer is down")
@@ -115,7 +147,7 @@ class TestPeerResolution:
         assert pushes == [store.ring.preference(cache_key_for(SPEC))[0]]
 
     def test_plain_cache_engines_are_unaffected(self):
-        """No fetch_missing on the cache -> the old single-phase path."""
+        """A plain cache fetches nothing -> the old single-phase path."""
         engine = BatchEngine()
         result = engine.submit([SPEC])[0]
         assert not result.cached
