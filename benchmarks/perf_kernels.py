@@ -28,7 +28,7 @@ Usage::
 
     python benchmarks/perf_kernels.py                      # record
     python benchmarks/perf_kernels.py --nodes 200 \
-        --min-fds-speedup 3 --min-frames-speedup 3 \
+        --min-fds-speedup 10 --min-frames-speedup 3 \
         --min-threaded-speedup 1.3                         # CI gate
 """
 

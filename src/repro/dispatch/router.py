@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.job import JobSpec
 from repro.engine.keys import CacheKeyResolver
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError, check_duration
 from repro.metrics import cluster_sums
 from repro.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.resilience.breaker import (
@@ -143,10 +143,9 @@ class DispatchRouter(HttpServerCore):
             ("probe_timeout_s", probe_timeout_s),
             ("request_timeout_s", request_timeout_s),
         ):
-            if value <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ConfigError(f"deadline_ms must be > 0, got {deadline_ms}")
+            check_duration(name, value)
+        if deadline_ms is not None:
+            check_duration("deadline_ms", deadline_ms)
         if not replicas:
             raise ReproError(
                 "a dispatcher needs at least one replica address"

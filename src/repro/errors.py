@@ -7,6 +7,8 @@ subsystem that raises them.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -19,6 +21,19 @@ class ConfigError(ReproError, ValueError):
     type keep working; the CLI reports it like any other
     :class:`ReproError` (exit code 2).
     """
+
+
+def check_duration(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a finite duration
+    ``> 0`` (``>= 0`` with ``allow_zero``).
+
+    A bare ``value <= 0`` test is not enough: NaN fails every
+    comparison, so it would pass, and so would infinity.
+    """
+    if math.isfinite(value) and (value > 0 or (allow_zero and value == 0)):
+        return
+    bound = ">= 0" if allow_zero else "> 0"
+    raise ConfigError(f"{name} must be a finite number {bound}, got {value}")
 
 
 class GraphError(ReproError):

@@ -133,7 +133,7 @@ def cmd_improve(args: Sequence[str]) -> int:
     summary = improver.run(
         nodes=opts.nodes,
         deadline_ms=(
-            int(opts.deadline * 1000) if opts.deadline is not None else None
+            opts.deadline * 1000 if opts.deadline is not None else None
         ),
         on_event=emit,
     )

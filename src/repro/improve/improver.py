@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.engine.batch import BatchEngine
 from repro.engine.job import JobSpec, JobResult, anytime_meta
 from repro.engine.keys import CacheKeyResolver
-from repro.errors import ConfigError, SchedulingError
+from repro.errors import ConfigError, SchedulingError, check_duration
 from repro.scheduling.base import artifact_start_times, schedule_artifact
 from repro.scheduling.bnb import DEFAULT_SLICE_NODES, AnytimeBnB
 
@@ -178,7 +178,7 @@ class Improver:
     def run(
         self,
         nodes: Optional[int] = None,
-        deadline_ms: Optional[int] = None,
+        deadline_ms: Optional[float] = None,
         on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> Dict[str, Any]:
         """Drive the search until proof or budget expiry.
@@ -191,10 +191,8 @@ class Improver:
         """
         if nodes is not None and nodes < 1:
             raise SchedulingError(f"nodes must be >= 1, got {nodes}")
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise SchedulingError(
-                f"deadline_ms must be > 0, got {deadline_ms}"
-            )
+        if deadline_ms is not None:
+            check_duration("deadline_ms", deadline_ms)
         emit = on_event or (lambda event: None)
         start_nodes = self.solver.nodes_total
         deadline = (

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_duration
 
 #: Consecutive failures that open a breaker.
 DEFAULT_FAILURE_THRESHOLD = 3
@@ -65,10 +65,7 @@ class CircuitBreaker:
             raise ConfigError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
             )
-        if reset_timeout_s <= 0:
-            raise ConfigError(
-                f"reset_timeout_s must be > 0, got {reset_timeout_s}"
-            )
+        check_duration("reset_timeout_s", reset_timeout_s)
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
         self._clock = clock

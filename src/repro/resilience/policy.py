@@ -28,7 +28,7 @@ import random
 import time
 from typing import Callable, Dict, Mapping, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_duration
 
 #: Total tries a :class:`RetryPolicy` allows unless told otherwise.
 DEFAULT_MAX_ATTEMPTS = 3
@@ -74,12 +74,8 @@ class RetryPolicy:
             raise ConfigError(
                 f"max_attempts must be >= 0, got {max_attempts}"
             )
-        if base_s <= 0:
-            raise ConfigError(f"base_s must be > 0, got {base_s}")
-        if max_backoff_s <= 0:
-            raise ConfigError(
-                f"max_backoff_s must be > 0, got {max_backoff_s}"
-            )
+        check_duration("base_s", base_s)
+        check_duration("max_backoff_s", max_backoff_s)
         self.max_attempts = max_attempts
         self.base_s = base_s
         self.max_backoff_s = max(base_s, max_backoff_s)

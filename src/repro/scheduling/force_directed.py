@@ -13,17 +13,29 @@ Implementation notes
   :class:`~repro.scheduling.frames.FrameEngine` (fixing an op
   delta-propagates the narrowing to its cone) instead of the
   full-recompute sweep of the reference implementation.
-* The distribution graph for a unit type spreads each op's occupancy
-  probability uniformly over its feasible start steps, accounting for
-  multi-cycle delays.
+* The distribution graph (DG) for a unit type spreads each op's
+  occupancy probability uniformly over its feasible start steps,
+  accounting for multi-cycle delays.  Banked memories get one DG per
+  bank.
 * The force of fixing op ``o`` at step ``s`` is the classic self force
   plus predecessor/successor forces (their self forces under the frames
-  implied by the assignment).  The fast path evaluates every candidate
-  in O(degree) amortized via per-type prefix sums over the distribution
-  graph; candidates within :data:`FORCE_TIE_EPS` of the best are then
-  re-scored with the reference force kernels (same floats, same
-  tie-break), so the fast and reference schedulers pick the *identical*
-  op/step sequence — asserted op-for-op by the equivalence tests.
+  implied by the assignment).
+* The fast path works in the index space of the graph's
+  :class:`~repro.ir.graph_view.GraphView`.  Each DG group is a slot in
+  a list, so the per-iteration work does no dict lookups keyed by the
+  (costly to hash) unit types.  Per-slot prefix sums give, for every
+  pending op, its self force at each start and the average force of
+  each frame it can be clipped to; a candidate's force then sums table
+  entries over its neighbours.
+* Each iteration rebuilds the DG with :func:`_slot_distribution`, which
+  walks the ops and steps in the order :func:`_distribution` does, so
+  the two are equal float for float.  Patching the DG per narrowed
+  frame instead would change the summation order and so the last bits.
+  Candidates within :data:`FORCE_TIE_EPS` of the least force are
+  re-scored with the reference force kernels on that DG (same floats,
+  same tie-break), so the fast and reference schedulers pick the
+  *identical* op/step sequence — asserted op-for-op by the equivalence
+  tests.
 
 :func:`force_directed_schedule_reference` is the pre-optimization
 O(V^2 * L^2)-ish implementation, kept verbatim as the equivalence/perf
@@ -32,6 +44,7 @@ oracle (``benchmarks/perf_kernels.py`` measures the speedup against it).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import GraphError, SchedulingError
@@ -196,6 +209,44 @@ def _self_force(
     return force
 
 
+def _slot_distribution(
+    slot_of: List[int],
+    spans: List[int],
+    lo: List[int],
+    hi: List[int],
+    num_slots: int,
+    latency: int,
+) -> List[List[float]]:
+    """:func:`_distribution` in index space: one DG row per group slot.
+
+    ``slot_of[i]`` is the slot of view index ``i`` (``-1`` for
+    structural ops).  Nodes are walked in view order — the order
+    ``_distribution`` walks ``node_objects()`` — and each ``weight`` is
+    added to each step in the same order, so every float equals the
+    reference DG's bit for bit.
+    """
+    dist = [[0.0] * latency for _ in range(num_slots)]
+    for i, slot in enumerate(slot_of):
+        if slot < 0:
+            continue
+        row = dist[slot]
+        lo_i, hi_i = lo[i], hi[i]
+        weight = 1.0 / (hi_i - lo_i + 1)
+        span = spans[i]
+        if span == 1:
+            for step in range(lo_i, min(hi_i + 1, latency)):
+                row[step] += weight
+        elif hi_i + span <= latency:
+            for start in range(lo_i, hi_i + 1):
+                for step in range(start, start + span):
+                    row[step] += weight
+        else:
+            for start in range(lo_i, hi_i + 1):
+                for step in range(start, min(start + span, latency)):
+                    row[step] += weight
+    return dist
+
+
 def force_directed_schedule(
     dfg: DataFlowGraph,
     resources: ResourceSet,
@@ -235,31 +286,57 @@ def force_directed_schedule(
     lo, hi = engine.lo, engine.hi
     ids = view.ids
     delays = view.delays
-    nodes = dfg.node_objects()
     groups = _group_map(dfg, resources)
-    fu_of = [groups[node.id] for node in nodes]
+    keys = _group_keys(resources)
+    slot_index = {key: slot for slot, key in enumerate(keys)}
+    slot_of = [
+        -1 if groups[node_id] is None else slot_index[groups[node_id]]
+        for node_id in ids
+    ]
     spans = [max(1, d) for d in delays]
-    in_list = [view.predecessors(i) for i in range(n)]
-    out_list = [view.successors(i) for i in range(n)]
+    # Grouped neighbours with the step gap between the candidate's start
+    # and the neighbour's clipped bound: a predecessor's ALAP becomes
+    # ``start - gap``, a successor's ASAP ``start + gap``.
+    pred_gaps = [
+        [
+            (p, w + delays[p])
+            for p, w in view.predecessors(i)
+            if slot_of[p] >= 0
+        ]
+        for i in range(n)
+    ]
+    succ_gaps = [
+        [
+            (s, delays[i] + w)
+            for s, w in view.successors(i)
+            if slot_of[s] >= 0
+        ]
+        for i in range(n)
+    ]
 
     fixed: Dict[str, int] = {}
     pending: Dict[int, None] = dict.fromkeys(range(n))
     L = latency
+    # Per-iteration force tables of the pending grouped ops (see below).
+    self_forces: List[List[float]] = [[] for _ in range(n)]
+    clip_hi: List[List[float]] = [[] for _ in range(n)]
+    clip_lo: List[List[float]] = [[] for _ in range(n)]
 
-    def range_sum(alpha, beta, sp, prefix, double_prefix, total):
-        """``sum(SP[min(s + sp, L)] - SP[s] for s in [alpha, beta])``."""
-        tail = L - sp
+    def mean_sum(alpha, beta, span, ssp, total):
+        """Mean of ``SP[min(s + span, L)] - SP[s]`` over ``s`` in
+        ``[alpha, beta]``, from the double prefix sums ``ssp``."""
+        tail = L - span
         if beta <= tail:
-            clipped = double_prefix[beta + sp + 1] - double_prefix[alpha + sp]
+            clipped = ssp[beta + span + 1] - ssp[alpha + span]
         elif alpha > tail:
             clipped = (beta - alpha + 1) * total
         else:
             clipped = (
-                double_prefix[tail + sp + 1]
-                - double_prefix[alpha + sp]
+                ssp[tail + span + 1]
+                - ssp[alpha + span]
                 + (beta - tail) * total
             )
-        return clipped - (double_prefix[beta + 1] - double_prefix[alpha])
+        return (clipped - (ssp[beta + 1] - ssp[alpha])) / (beta - alpha + 1)
 
     while pending:
         # Ops whose frame is already a single step are fixed for free.
@@ -271,114 +348,134 @@ def force_directed_schedule(
                 del pending[i]
             continue
 
-        frames = {ids[i]: (lo[i], hi[i]) for i in view.topo_indices()}
-        # The distribution graphs are rebuilt (not patched per narrowed
-        # frame): the rebuild reproduces the reference implementation's
-        # float summation order exactly, which the near-tie refinement
-        # below needs to stay bit-compatible with it.
-        dist = _distribution(dfg, resources, frames, latency, groups)
+        # Rebuilt, not patched: see the module notes.
+        dist = _slot_distribution(slot_of, spans, lo, hi, len(keys), L)
 
-        # Per-group prefix sums: SP[k] = sum(dist[:k]), SSP[k] =
-        # sum(SP[:k]).  They turn each candidate force into O(degree).
-        prefix: Dict[Group, List[float]] = {}
-        double_prefix: Dict[Group, List[float]] = {}
-        for fu, arr in dist.items():
-            sp_arr = [0.0] * (L + 1)
-            acc = 0.0
-            for step, value in enumerate(arr):
-                acc += value
-                sp_arr[step + 1] = acc
-            ssp_arr = [0.0] * (L + 2)
-            acc = 0.0
-            for k, value in enumerate(sp_arr):
-                acc += value
-                ssp_arr[k + 1] = acc
-            prefix[fu] = sp_arr
-            double_prefix[fu] = ssp_arr
+        # Per-slot prefix sums: SP[k] = sum(dist[:k]), SSP[k] =
+        # sum(SP[:k]).  They turn each clipped-frame force into O(1).
+        prefix = [list(accumulate(row, initial=0.0)) for row in dist]
+        double_prefix = [
+            list(accumulate(sp_arr, initial=0.0)) for sp_arr in prefix
+        ]
 
-        # Constant (start-independent) part of each op's self force: the
-        # distribution mass its current uniform spread already claims.
-        base_part = [0.0] * n
-        for i in range(n):
-            fu = fu_of[i]
-            if fu is None:
+        # Per pending grouped op ``j``: its self force at each start,
+        # and the force of each frame a neighbour's fixing can clip it
+        # to, ``clip_hi[j][b - lo]`` for ALAP ``b`` (``j`` as a
+        # predecessor) and ``clip_lo[j][a - lo - 1]`` for ASAP ``a``
+        # (``j`` as a successor).  ``base`` is the start-independent
+        # part: the mass the op's uniform spread already claims.
+        for j in pending:
+            slot = slot_of[j]
+            if slot < 0:
                 continue
-            base_part[i] = range_sum(
-                lo[i],
-                hi[i],
-                spans[i],
-                prefix[fu],
-                double_prefix[fu],
-                prefix[fu][L],
-            ) / (hi[i] - lo[i] + 1)
-
-        candidates: List[Tuple[float, int, int]] = []
-        for i in pending:
-            fu = fu_of[i]
-            li, hi_i = lo[i], hi[i]
-            delay_i = delays[i]
-            span_i = spans[i]
-            preds = in_list[i]
-            succs = out_list[i]
-            for start in range(li, hi_i + 1):
-                force = 0.0
-                if fu is not None:
-                    sp_arr = prefix[fu]
-                    force += (
-                        sp_arr[min(start + span_i, L)]
-                        - sp_arr[start]
-                        - base_part[i]
-                    )
-                for p, w in preds:
-                    fu_p = fu_of[p]
-                    if fu_p is None:
-                        continue
-                    new_hi = start - w - delays[p]
-                    if new_hi < hi[p] and new_hi >= lo[p]:
-                        force += range_sum(
-                            lo[p],
-                            new_hi,
-                            spans[p],
-                            prefix[fu_p],
-                            double_prefix[fu_p],
-                            prefix[fu_p][L],
-                        ) / (new_hi - lo[p] + 1) - base_part[p]
-                for s, w in succs:
-                    fu_s = fu_of[s]
-                    if fu_s is None:
-                        continue
-                    new_lo = start + delay_i + w
-                    if new_lo > lo[s] and new_lo <= hi[s]:
-                        force += range_sum(
-                            new_lo,
-                            hi[s],
-                            spans[s],
-                            prefix[fu_s],
-                            double_prefix[fu_s],
-                            prefix[fu_s][L],
-                        ) / (hi[s] - new_lo + 1) - base_part[s]
-                candidates.append((force, i, start))
-
-        threshold = min(c[0] for c in candidates) + FORCE_TIE_EPS
-        best: Optional[Tuple[float, str, int]] = None
-        for approx, i, start in candidates:
-            if approx > threshold:
+            sp_arr = prefix[slot]
+            ssp_arr = double_prefix[slot]
+            span_j = spans[j]
+            lo_j, hi_j = lo[j], hi[j]
+            if hi_j > L - span_j:
+                # A zero-delay op whose frame reaches ``L``: its
+                # occupancy is clipped there, so take the general sums.
+                total = sp_arr[L]
+                base = mean_sum(lo_j, hi_j, span_j, ssp_arr, total)
+                self_forces[j] = [
+                    sp_arr[min(start + span_j, L)] - sp_arr[start] - base
+                    for start in range(lo_j, hi_j + 1)
+                ]
+                clip_hi[j] = [
+                    mean_sum(lo_j, b, span_j, ssp_arr, total) - base
+                    for b in range(lo_j, hi_j)
+                ]
+                clip_lo[j] = [
+                    mean_sum(a, hi_j, span_j, ssp_arr, total) - base
+                    for a in range(lo_j + 1, hi_j + 1)
+                ]
                 continue
-            node_id = ids[i]
-            force = 0.0
-            if fu_of[i] is not None:
-                force += _self_force(
-                    delays[i], dist[fu_of[i]], (lo[i], hi[i]), start, latency
+            # Every start ends by ``L``: ``mean_sum``'s first branch,
+            # unrolled over the whole table.
+            head = ssp_arr[lo_j + span_j]
+            low = ssp_arr[lo_j]
+            end = ssp_arr[hi_j + span_j + 1]
+            top = ssp_arr[hi_j + 1]
+            base = ((end - head) - (top - low)) / (hi_j - lo_j + 1)
+            self_forces[j] = [
+                x - y - base
+                for x, y in zip(
+                    sp_arr[lo_j + span_j : hi_j + span_j + 1],
+                    sp_arr[lo_j : hi_j + 1],
                 )
-            force += _neighbour_forces(
-                dfg, resources, frames, dist, node_id, start, latency,
-                groups,
+            ]
+            ahead = ssp_arr[lo_j + span_j + 1 : hi_j + span_j + 1]
+            inner = ssp_arr[lo_j + 1 : hi_j + 1]
+            clip_hi[j] = [
+                ((x - head) - (y - low)) / w - base
+                for x, y, w in zip(ahead, inner, range(1, hi_j - lo_j + 1))
+            ]
+            clip_lo[j] = [
+                ((end - x) - (top - y)) / w - base
+                for x, y, w in zip(ahead, inner, range(hi_j - lo_j, 0, -1))
+            ]
+
+        # Score every candidate start of every pending op.  Neighbour
+        # terms are added per neighbour over the starts that clip it, in
+        # the same order per start as a per-candidate sum.  The frame
+        # invariants (``lo[i] >= lo[p] + gap``, ``hi[p] <= hi[i] - gap``)
+        # make those starts a prefix of ``i``'s frame for a predecessor
+        # (``start - gap < hi[p]``) and a suffix for a successor
+        # (``start + gap > lo[s]``).
+        scored: List[Tuple[float, int, List[float]]] = []
+        for i in pending:
+            lo_i = lo[i]
+            forces = (
+                self_forces[i]
+                if slot_of[i] >= 0
+                else [0.0] * (hi[i] - lo_i + 1)
             )
-            key = (force, node_id, start)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        _, chosen, start = best
+            for p, gap in pred_gaps[i]:
+                m = hi[p] + gap - lo_i
+                if m > 0:
+                    forces[:m] = [
+                        f + t for f, t in zip(forces, clip_hi[p][-m:])
+                    ]
+            for s, gap in succ_gaps[i]:
+                m = hi[i] + gap - lo[s]
+                if m > 0:
+                    forces[-m:] = [
+                        f + t for f, t in zip(forces[-m:], clip_lo[s])
+                    ]
+            scored.append((min(forces), i, forces))
+
+        # Candidates within FORCE_TIE_EPS of the minimum are re-scored
+        # with the reference kernels; a lone one wins outright.
+        threshold = min(scored)[0] + FORCE_TIE_EPS
+        near = [
+            (i, lo[i] + k)
+            for least, i, forces in scored
+            if least <= threshold
+            for k, force in enumerate(forces)
+            if force <= threshold
+        ]
+        if len(near) == 1:
+            i, start = near[0]
+            chosen = ids[i]
+        else:
+            frames = engine.frames_dict()
+            dist_of = dict(zip(keys, dist))
+            best: Optional[Tuple[float, str, int]] = None
+            for i, start in near:
+                node_id = ids[i]
+                force = 0.0
+                if slot_of[i] >= 0:
+                    frame = (lo[i], hi[i])
+                    force += _self_force(
+                        delays[i], dist[slot_of[i]], frame, start, L
+                    )
+                force += _neighbour_forces(
+                    dfg, resources, frames, dist_of, node_id, start, L, groups
+                )
+                key = (force, node_id, start)
+                if best is None or key < best:
+                    best = key
+            _, chosen, start = best
         engine.fix(chosen, start)
         fixed[chosen] = start
         del pending[view.index[chosen]]

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine.batch import BatchEngine
 from repro.engine.job import JobResult, JobSpec
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, check_duration
 from repro.serve.metrics import ServiceMetrics
 
 #: Flush when the buffer reaches this many unique jobs...
@@ -80,7 +80,8 @@ class RequestCoalescer:
         self.engine = engine
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.max_batch = max_batch
-        self.batch_window_s = max(0.0, batch_window_ms) / 1000.0
+        check_duration("batch_window_ms", batch_window_ms, allow_zero=True)
+        self.batch_window_s = batch_window_ms / 1000.0
         self._inflight: Dict[JobSpec, asyncio.Future] = {}
         self._buffer: List[Tuple[JobSpec, asyncio.Future]] = []
         self._timer: Optional[asyncio.TimerHandle] = None

@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, Optional, Tuple, Union
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, check_duration
 from repro.serve.protocol import encode_json, error_payload
 
 #: Bind address unless told otherwise: loopback only.
@@ -120,10 +120,7 @@ class HttpServerCore:
     ):
         if not 0 <= port <= 65535:
             raise ConfigError(f"port must be in 0..65535, got {port}")
-        if drain_timeout_s <= 0:
-            raise ConfigError(
-                f"drain_timeout_s must be > 0, got {drain_timeout_s}"
-            )
+        check_duration("drain_timeout_s", drain_timeout_s)
         self.host = host
         self.drain_timeout_s = drain_timeout_s
         self._requested_port = port

@@ -57,7 +57,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 from repro import metrics
 from repro.engine.cache import ENTRY_FORMAT, ResultCache
 from repro.engine.job import JobResult
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, check_duration
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.resilience.breaker import (
     DEFAULT_FAILURE_THRESHOLD,
@@ -103,10 +103,7 @@ def check_peer_options(
             f"publish_fanout must be >= 0 (0 = all peers), got "
             f"{publish_fanout}"
         )
-    if peer_timeout_s <= 0:
-        raise ConfigError(
-            f"peer_timeout_s must be > 0, got {peer_timeout_s}"
-        )
+    check_duration("peer_timeout_s", peer_timeout_s)
 
 
 def entry_payload_of(result: JobResult) -> Dict:

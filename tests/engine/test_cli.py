@@ -233,22 +233,35 @@ OUT_OF_RANGE = [
     ["serve", "--workers", "0"],
     ["serve", "--max-queue", "0"],
     ["serve", "--max-batch", "0"],
+    ["serve", "--batch-window-ms", "inf"],
+    ["serve", "--batch-window-ms", "nan"],
+    ["serve", "--batch-window-ms", "-1"],
     ["serve", "--drain-timeout", "0"],
+    ["serve", "--drain-timeout", "nan"],
     ["serve", "--peer-timeout", "0"],
+    ["serve", "--peer-timeout", "nan"],
     ["serve", "--publish-fanout", "-1"],
     ["serve", "--cache-dir", "{tmp}", "--cache-entries", "0"],
     ["dispatch", "--replica", "127.0.0.1:9", "--port", "70000"],
     ["dispatch", "--replica", "127.0.0.1:9", "--vnodes", "0"],
     ["dispatch", "--replica", "127.0.0.1:9", "--health-interval", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--health-interval", "nan"],
     ["dispatch", "--replica", "127.0.0.1:9", "--probe-timeout", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--probe-timeout", "nan"],
     ["dispatch", "--replica", "127.0.0.1:9", "--request-timeout", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--request-timeout", "nan"],
     ["dispatch", "--replica", "127.0.0.1:9", "--drain-timeout", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--drain-timeout", "nan"],
     ["dispatch", "--replica", "127.0.0.1:9", "--retry-attempts", "-1"],
     ["dispatch", "--replica", "127.0.0.1:9", "--retry-base-ms", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--retry-base-ms", "nan"],
     ["dispatch", "--replica", "127.0.0.1:9", "--retry-max-ms", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--retry-max-ms", "nan"],
     ["dispatch", "--replica", "127.0.0.1:9", "--deadline-ms", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--deadline-ms", "nan"],
     ["dispatch", "--replica", "127.0.0.1:9", "--breaker-threshold", "0"],
     ["dispatch", "--replica", "127.0.0.1:9", "--breaker-reset", "0"],
+    ["dispatch", "--replica", "127.0.0.1:9", "--breaker-reset", "nan"],
     ["hier", "--random", "0"],
     ["hier", "--random", "40", "--workers", "0"],
     ["hier", "--random", "40", "--target", "127.0.0.1:9", "--workers", "0"],
@@ -259,6 +272,7 @@ OUT_OF_RANGE = [
     ["hier", "--random", "40", "--slack", "-1"],
     ["improve", "HAL", "--nodes", "0"],
     ["improve", "HAL", "--deadline", "0"],
+    ["improve", "HAL", "--deadline", "nan"],
     ["improve", "HAL", "--slice-nodes", "0"],
 ]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.job import JobResult, JobSpec
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.serve.coalescer import RequestCoalescer
 
 NAMES = ["HAL", "AR", "FIR", "EF", "DCT8"]
@@ -70,6 +70,30 @@ class StubEngine:
 def _coalescer(engine, **kwargs) -> RequestCoalescer:
     kwargs.setdefault("batch_window_ms", 1.0)
     return RequestCoalescer(engine, **kwargs)
+
+
+class TestBatchWindow:
+    @pytest.mark.parametrize("window", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative_window_rejected(self, window):
+        # An infinite window would never flush a lone request; NaN and
+        # negative values used to be clamped to 0 silently.
+        with pytest.raises(ConfigError, match="batch_window_ms"):
+            RequestCoalescer(StubEngine(), batch_window_ms=window)
+
+    def test_zero_window_flushes_a_lone_request(self):
+        async def scenario():
+            engine = StubEngine()
+            coalescer = _coalescer(engine, batch_window_ms=0)
+            try:
+                result, _ = await asyncio.wait_for(
+                    coalescer.schedule(_spec(0)), 5.0
+                )
+                assert result.graph == "HAL"
+                assert len(engine.batches) == 1
+            finally:
+                coalescer.close()
+
+        asyncio.run(scenario())
 
 
 class TestResultCountGuard:
