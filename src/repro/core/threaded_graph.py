@@ -36,9 +36,24 @@ thread member is ordered against the new operation; the general sound
 condition (docs/ARCHITECTURE.md, "The threaded kernel") is a *window*
 per thread: the position must lie after every state-ancestor of the
 operation's scheduled DFG predecessors and before every
-state-descendant of its scheduled DFG successors.  Both sets come from
-one multi-source BFS over the state each, keeping the per-operation
-cost O(|V| * K).
+state-descendant of its scheduled DFG successors.
+
+The threads are a chain cover of the state, so those sets never need a
+search.  Every vertex keeps two K-vectors (see
+:class:`~repro.core.vertex.ThreadedVertex`): ``before[k]``, the latest
+thread-k vertex that reaches it (itself included), and ``after[k]``,
+the earliest thread-k vertex it reaches.  A window bound is then a rank
+max (min) over the vectors of the op's scheduled DFG ancestors
+(descendants); the latest ancestor per thread dominates the rest of its
+thread, so only those and the free ancestors are read.  The vectors
+stay exact under insertion: the Figure 2 rules only add edges through
+the new vertex x or drop edges another path implies, so every newly
+reachable pair runs through x.  Commit therefore folds ``x.before``
+into x's state descendants and ``x.after`` into its ancestors,
+stopping wherever a fold changes nothing (that vertex's own cone
+already holds the values).  A removal can shrink reachability, so
+:meth:`ThreadedGraph.remove` only marks the vectors stale; the next
+window query rebuilds them in one topological pass.
 Windows are never empty (an ancestor after a descendant inside one
 thread would close a state cycle), so every compatible thread offers a
 valid position.
@@ -102,16 +117,29 @@ class SchedulerStats:
     scheduled: int = 0
     label_visits: int = 0
     positions_scanned: int = 0
-    bfs_visits: int = 0
+    #: Vertices whose chain-cover vectors were folded or rebuilt.
+    window_visits: int = 0
     edges_rewired: int = 0
 
     def total_work(self) -> int:
         return (
             self.label_visits
             + self.positions_scanned
-            + self.bfs_visits
+            + self.window_visits
             + self.edges_rewired
         )
+
+
+#: An op's scheduled DFG ancestors (descendants) as the state needs
+#: them: the latest (earliest) one per thread, and every free one.
+Relatives = Tuple[Dict[int, ThreadedVertex], List[ThreadedVertex]]
+#: Both sides of one op's DFG walk: ``(ancestors, descendants)``.
+Walk = Tuple[Relatives, Relatives]
+
+
+def _members(relatives: Relatives) -> List[ThreadedVertex]:
+    extreme, free = relatives
+    return list(extreme.values()) + free
 
 
 class ThreadedGraph:
@@ -165,6 +193,8 @@ class ThreadedGraph:
         self._weights_version: Optional[int] = None
         self._weighted_in: Dict[str, Dict[str, int]] = {}
         self._weighted_out: Dict[str, Dict[str, int]] = {}
+        # Chain-cover vectors are exact unless a removal left them stale.
+        self._cover_stale = False
 
         self._s: List[ThreadedVertex] = []
         self._t: List[ThreadedVertex] = []
@@ -316,17 +346,21 @@ class ThreadedGraph:
         """
         if forward:
             name, evaluate = "sdist", self._source_distance
-            spread = self._label_successors
+            slots, free, weighted = "tout", "free_out", self._weighted_out
         else:
             name, evaluate = "tdist", self._sink_distance
-            spread = self._label_predecessors
+            slots, free, weighted = "tin", "free_in", self._weighted_in
         heap: List[Tuple[int, int, ThreadedVertex]] = []
         queued: Set[ThreadedVertex] = set()
         tick = itertools.count()  # FIFO among equal keys; never compares vertices
 
-        def push(vertices: Iterable[ThreadedVertex]) -> None:
+        def push(vertices: Iterable[Optional[ThreadedVertex]]) -> None:
             for other in vertices:
-                if other not in queued and not other.is_sentinel:
+                if (
+                    other is not None
+                    and other not in queued
+                    and not other.is_sentinel
+                ):
                     queued.add(other)
                     key = other.sdist if forward else -other.sdist
                     heapq.heappush(heap, (key, next(tick), other))
@@ -340,7 +374,13 @@ class ThreadedGraph:
             value = evaluate(vertex)
             if value != getattr(vertex, name):
                 setattr(vertex, name, value)
-                push(spread(vertex))
+                push(getattr(vertex, slots))
+                free_edges = getattr(vertex, free)
+                if free_edges:
+                    push(free_edges)
+                if weighted:
+                    heavy = self._weighted(vertex.node_id, weighted)
+                    push(other for other, _ in heavy)
         self.stats.label_visits += visits
 
     # The label recurrence.  State edges carry no weight; a weighted DFG
@@ -357,8 +397,10 @@ class ThreadedGraph:
         for pred in vertex.free_in:
             if pred.sdist > best:
                 best = pred.sdist
-        for pred, weight in self._weighted(vertex, self._weighted_in):
-            best = max(best, pred.sdist + weight)
+        if self._weighted_in:
+            weighted = self._weighted(vertex.node_id, self._weighted_in)
+            for pred, weight in weighted:
+                best = max(best, pred.sdist + weight)
         return best + vertex.delay
 
     def _sink_distance(self, vertex: ThreadedVertex) -> int:
@@ -369,28 +411,20 @@ class ThreadedGraph:
         for succ in vertex.free_out:
             if succ.tdist > best:
                 best = succ.tdist
-        for succ, weight in self._weighted(vertex, self._weighted_out):
-            best = max(best, succ.tdist + weight)
+        if self._weighted_out:
+            weighted = self._weighted(vertex.node_id, self._weighted_out)
+            for succ, weight in weighted:
+                best = max(best, succ.tdist + weight)
         return best + vertex.delay
-
-    def _label_successors(self, vertex: ThreadedVertex) -> List[ThreadedVertex]:
-        weighted = self._weighted(vertex, self._weighted_out)
-        return vertex.successors() + [succ for succ, _ in weighted]
-
-    def _label_predecessors(
-        self, vertex: ThreadedVertex
-    ) -> List[ThreadedVertex]:
-        weighted = self._weighted(vertex, self._weighted_in)
-        return vertex.predecessors() + [pred for pred, _ in weighted]
 
     def _weighted(
         self,
-        vertex: ThreadedVertex,
+        node_id: str,
         table: Dict[str, Dict[str, int]],
     ) -> List[Tuple[ThreadedVertex, int]]:
-        """Scheduled DFG neighbours of ``vertex`` joined to it by a
+        """Scheduled DFG neighbours of ``node_id`` joined to it by a
         weighted edge, with the weights (``table`` picks the side)."""
-        neighbours = table.get(vertex.node_id)
+        neighbours = table.get(node_id)
         if not neighbours:
             return []
         scheduled = self._vertices
@@ -445,13 +479,14 @@ class ThreadedGraph:
             return
         node = self.dfg.node(node_id)
         self.stats.scheduled += 1
+        walk = self._walk(node_id)
 
         if node.op.is_structural:
-            self._commit_free(node_id, node)
+            self._commit_free(node_id, node, walk)
             return
 
-        thread_k, rank = self._select(node_id, node)
-        self._commit(node_id, node, thread_k, rank)
+        thread_k, rank = self._select(node_id, node, walk)
+        self._commit(node_id, node, thread_k, rank, walk)
 
     def schedule_all(self, order: Optional[Iterable[str]] = None) -> None:
         """Schedule every DFG operation (default: graph order)."""
@@ -459,15 +494,70 @@ class ThreadedGraph:
             self.schedule(node_id)
 
     # ------------------------------------------------------------------
+    # The op's scheduled DFG relatives (paper lines 53-54).
+    # ------------------------------------------------------------------
+
+    def _walk(self, node_id: str) -> Walk:
+        """The scheduled DFG ancestors and descendants of ``node_id``,
+        from one walk each way; select and commit both read them."""
+        return (
+            self._relatives(self.dfg.reaching_to(node_id), latest=True),
+            self._relatives(self.dfg.reachable_from(node_id), latest=False),
+        )
+
+    def _relatives(self, node_ids: List[str], latest: bool) -> Relatives:
+        """The scheduled ops among ``node_ids``: the latest (``latest``)
+        or earliest member per thread, keyed in first-seen thread order,
+        and every free one in walk order.
+
+        Every other scheduled op of a thread reaches its latest member
+        (is reached from its earliest) along the thread chain, so these
+        few vertices stand for the whole set wherever the state orders
+        or labels are monotone: windows, intrinsics and wiring.
+        """
+        extreme: Dict[int, ThreadedVertex] = {}
+        free: List[ThreadedVertex] = []
+        vertices, rank = self._vertices, self._rank
+        for node_id in node_ids:
+            vertex = vertices.get(node_id)
+            if vertex is None:
+                continue
+            k = vertex.thread
+            if k is None:
+                free.append(vertex)
+                continue
+            current = extreme.get(k)
+            if current is None or (
+                rank[vertex] > rank[current]
+                if latest
+                else rank[vertex] < rank[current]
+            ):
+                extreme[k] = vertex
+        return extreme, free
+
+    # ------------------------------------------------------------------
     # select: find the best insertion position.
     # ------------------------------------------------------------------
 
-    def _select(self, node_id: str, node) -> Tuple[int, int]:
+    @staticmethod
+    def position_key(cost: int, k: int, rank: int) -> Tuple[int, int, int]:
+        """Order of the candidate positions; the minimum wins.
+
+        Minimum cost, then lowest thread index, then the *latest*
+        position in that thread (appending keeps the earlier slack free
+        for later refinements; empirically this also tracks the paper's
+        reported lengths most closely — measured by
+        repro.experiments.tiebreak_ablation, which overrides this hook;
+        see docs/ARCHITECTURE.md, "The threaded kernel").
+        """
+        return (cost, k, -rank)
+
+    def _select(self, node_id: str, node, walk: Walk) -> Tuple[int, int]:
         """Return ``(thread, rank)``: insert after the vertex at ``rank``
         (rank -1 = right after the source sentinel)."""
         self.label()
-        intrinsic_src, intrinsic_snk, anc, desc = self._intrinsics(node_id)
-        lo, hi = self._windows(anc, desc)
+        intrinsic_src, intrinsic_snk = self._intrinsics(node_id, walk)
+        lo, hi = self._windows(walk)
 
         compatible = [
             k for k, spec in enumerate(self.specs) if spec.supports(node.op)
@@ -478,19 +568,12 @@ class ThreadedGraph:
                 f"threads: {[spec.fu_type and spec.fu_type.name for spec in self.specs]}"
             )
 
-        # Tie-break: minimum cost, then lowest thread index, then the
-        # *latest* position in that thread (appending keeps the earlier
-        # slack free for later refinements; empirically this also tracks
-        # the paper's reported lengths most closely — measured by
-        # repro.experiments.tiebreak_ablation; see docs/ARCHITECTURE.md,
-        # "The threaded kernel").
-        best: Optional[Tuple[int, int, int]] = None  # (cost, thread, -rank)
+        key = self.position_key
+        best: Optional[Tuple] = None
         chosen: Optional[Tuple[int, int]] = None
         for k in compatible:
             chain = self._threads[k]
-            lo_k = lo.get(k, -1)
-            hi_k = hi.get(k, len(chain))
-            for rank in range(lo_k, hi_k):
+            for rank in range(lo[k], hi[k]):
                 prev_sdist = chain[rank].sdist if rank >= 0 else 0
                 next_tdist = (
                     chain[rank + 1].tdist if rank + 1 < len(chain) else 0
@@ -501,7 +584,7 @@ class ThreadedGraph:
                     + node.delay
                 )
                 self.stats.positions_scanned += 1
-                candidate = (cost, k, -rank)
+                candidate = key(cost, k, rank)
                 if best is None or candidate < best:
                     best = candidate
                     chosen = (k, rank)
@@ -512,90 +595,149 @@ class ThreadedGraph:
             )
         return chosen
 
-    def _intrinsics(
-        self, node_id: str
-    ) -> Tuple[int, int, List[ThreadedVertex], List[ThreadedVertex]]:
-        """Intrinsic source/sink distances plus the scheduled DFG
-        ancestors/descendants of ``node_id`` (paper lines 53-54)."""
-        intrinsic_src = 0
-        ancestors: List[ThreadedVertex] = []
-        weights = self._weighted_in.get(node_id, {})
-        for anc_id in self.dfg.reaching_to(node_id):
-            vertex = self._vertices.get(anc_id)
-            if vertex is None:
-                continue
-            ancestors.append(vertex)
-            intrinsic_src = max(
-                intrinsic_src, vertex.sdist + weights.get(anc_id, 0)
-            )
+    def _intrinsics(self, node_id: str, walk: Walk) -> Tuple[int, int]:
+        """Intrinsic source/sink distances: the largest ``sdist`` over
+        the scheduled DFG ancestors (``tdist`` over the descendants),
+        plus the weight of a weighted edge to a direct neighbour.
 
-        intrinsic_snk = 0
-        descendants: List[ThreadedVertex] = []
-        weights = self._weighted_out.get(node_id, {})
-        for desc_id in self.dfg.reachable_from(node_id):
-            vertex = self._vertices.get(desc_id)
-            if vertex is None:
-                continue
-            descendants.append(vertex)
-            intrinsic_snk = max(
-                intrinsic_snk, vertex.tdist + weights.get(desc_id, 0)
-            )
-        return intrinsic_src, intrinsic_snk, ancestors, descendants
+        Labels grow along state paths, so the per-thread extremes and
+        the free relatives carry the maximum.
+        """
+        ancestors, descendants = walk
+        intrinsic_src = max(
+            (v.sdist for v in _members(ancestors)), default=0
+        )
+        for anc, weight in self._weighted(node_id, self._weighted_in):
+            intrinsic_src = max(intrinsic_src, anc.sdist + weight)
+        intrinsic_snk = max(
+            (v.tdist for v in _members(descendants)), default=0
+        )
+        for desc, weight in self._weighted(node_id, self._weighted_out):
+            intrinsic_snk = max(intrinsic_snk, desc.tdist + weight)
+        return intrinsic_src, intrinsic_snk
 
-    def _windows(
-        self,
-        ancestors: List[ThreadedVertex],
-        descendants: List[ThreadedVertex],
-    ) -> Tuple[Dict[int, int], Dict[int, int]]:
+    def _windows(self, walk: Walk) -> Tuple[List[int], List[int]]:
         """Valid insertion window per thread.
 
         Returns ``(lo, hi)``: in thread ``k`` the new vertex may be
-        inserted after ranks ``lo[k] .. hi[k] - 1`` (defaults: lo = -1,
-        hi = len(chain)).  ``lo[k]`` is the rank of the last thread-k
-        vertex that must stay before the new op (a state-ancestor of a
-        scheduled DFG predecessor); ``hi[k]`` the rank of the first that
-        must stay after.
+        inserted after ranks ``lo[k] .. hi[k] - 1`` (unconstrained:
+        lo = -1, hi = len(chain)).  ``lo[k]`` is the rank of the last
+        thread-k vertex that must stay before the new op (a
+        state-ancestor of a scheduled DFG predecessor, read off the
+        ancestors' ``before`` vectors); ``hi[k]`` the rank of the first
+        that must stay after (off the descendants' ``after`` vectors).
         """
-        lo: Dict[int, int] = {}
-        before = self._reach(ancestors, forward=False)
-        for vertex in before:
-            if vertex.thread is not None and not vertex.is_sentinel:
-                rank = self._rank[vertex]
-                if rank > lo.get(vertex.thread, -1):
-                    lo[vertex.thread] = rank
-
-        hi: Dict[int, int] = {}
-        after = self._reach(descendants, forward=True)
-        for vertex in after:
-            if vertex.thread is not None and not vertex.is_sentinel:
-                rank = self._rank[vertex]
-                if rank < hi.get(vertex.thread, len(self._threads[vertex.thread])):
-                    hi[vertex.thread] = rank
+        if self._cover_stale:
+            self._rebuild_cover()
+        ancestors, descendants = walk
+        rank = self._rank
+        lo = [-1] * self.K
+        for vertex in _members(ancestors):
+            for k, member in enumerate(vertex.before):
+                if member is not None and rank[member] > lo[k]:
+                    lo[k] = rank[member]
+        hi = [len(chain) for chain in self._threads]
+        for vertex in _members(descendants):
+            for k, member in enumerate(vertex.after):
+                if member is not None and rank[member] < hi[k]:
+                    hi[k] = rank[member]
         return lo, hi
 
-    def _reach(
-        self, roots: List[ThreadedVertex], forward: bool
-    ) -> Set[ThreadedVertex]:
-        """Multi-source reachability over the state (roots included)."""
-        seen: Set[ThreadedVertex] = set(roots)
-        frontier = list(roots)
+    # ------------------------------------------------------------------
+    # The chain cover behind the windows.
+    # ------------------------------------------------------------------
+
+    def _cover_row(
+        self, vertex: ThreadedVertex, forward: bool
+    ) -> List[Optional[ThreadedVertex]]:
+        """``vertex.before`` (forward) or ``vertex.after`` recomputed
+        from its state predecessors (successors)."""
+        row: List[Optional[ThreadedVertex]] = [None] * self.K
+        if forward:
+            for pred in vertex.predecessors():
+                if not pred.is_sentinel:
+                    self._fold(row, pred.before, later=True)
+        else:
+            for succ in vertex.successors():
+                if not succ.is_sentinel:
+                    self._fold(row, succ.after, later=False)
+        if vertex.thread is not None:
+            row[vertex.thread] = vertex
+        return row
+
+    def _fold(
+        self,
+        row: List[Optional[ThreadedVertex]],
+        other: List[Optional[ThreadedVertex]],
+        later: bool,
+    ) -> bool:
+        """Merge ``other`` into ``row`` entry-wise, keeping the later
+        (``later``) or earlier member of each thread; True if ``row``
+        changed."""
+        rank = self._rank
+        changed = False
+        for k, member in enumerate(other):
+            if member is None:
+                continue
+            current = row[k]
+            if current is None or (
+                rank[member] > rank[current]
+                if later
+                else rank[member] < rank[current]
+            ):
+                row[k] = member
+                changed = True
+        return changed
+
+    def _cover_insert(self, vertex: ThreadedVertex) -> None:
+        """Fold a freshly wired vertex into the chain cover.
+
+        Its own rows come from its neighbours; then ``before`` spreads
+        to its state descendants and ``after`` to its ancestors.  A
+        vertex whose row the fold leaves unchanged already dominates
+        it, and so does its whole cone, so the walk stops there.
+        """
+        if self._cover_stale:
+            return  # the next window query rebuilds everything
+        vertex.before = self._cover_row(vertex, forward=True)
+        vertex.after = self._cover_row(vertex, forward=False)
+        visits = 0
+        frontier = vertex.successors()
         while frontier:
-            vertex = frontier.pop()
-            self.stats.bfs_visits += 1
-            neighbours = (
-                vertex.successors() if forward else vertex.predecessors()
-            )
-            for other in neighbours:
-                if not other.is_sentinel and other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return seen
+            other = frontier.pop()
+            if not other.is_sentinel:
+                visits += 1
+                if self._fold(other.before, vertex.before, later=True):
+                    frontier.extend(other.successors())
+        frontier = vertex.predecessors()
+        while frontier:
+            other = frontier.pop()
+            if not other.is_sentinel:
+                visits += 1
+                if self._fold(other.after, vertex.after, later=False):
+                    frontier.extend(other.predecessors())
+        self.stats.window_visits += visits
+
+    def _rebuild_cover(self) -> None:
+        """Recompute every chain-cover row: one topological pass each
+        way (after a removal shrank reachability)."""
+        order = [
+            v for v in self._topological_state_order() if not v.is_sentinel
+        ]
+        for vertex in order:
+            vertex.before = self._cover_row(vertex, forward=True)
+        for vertex in reversed(order):
+            vertex.after = self._cover_row(vertex, forward=False)
+        self.stats.window_visits += 2 * len(order)
+        self._cover_stale = False
 
     # ------------------------------------------------------------------
     # commit: insert and rewire (paper Figure 2 rules).
     # ------------------------------------------------------------------
 
-    def _commit(self, node_id: str, node, k: int, rank: int) -> None:
+    def _commit(
+        self, node_id: str, node, k: int, rank: int, walk: Walk
+    ) -> None:
         vertex = ThreadedVertex(
             node_id, node.op, node.delay, self.K, thread=k
         )
@@ -617,21 +759,19 @@ class ThreadedGraph:
         self._order.append(node_id)
         self._note_new(vertex)
 
-        self._wire_ancestors(vertex)
-        self._wire_descendants(vertex)
+        self._wire(vertex, walk)
 
     # The free-edge containers are insertion-ordered dicts (see
     # ThreadedVertex), so everything above iterates deterministically.
 
-    def _commit_free(self, node_id: str, node) -> None:
+    def _commit_free(self, node_id: str, node, walk: Walk) -> None:
         """Insert a structural op as a thread-less free vertex."""
         vertex = ThreadedVertex(node_id, node.op, node.delay, self.K)
         self._vertices[node_id] = vertex
         self._free[node_id] = vertex
         self._order.append(node_id)
         self._note_new(vertex)
-        self._wire_ancestors(vertex)
-        self._wire_descendants(vertex)
+        self._wire(vertex, walk)
 
     def _note_new(self, vertex: ThreadedVertex) -> None:
         """Record a new vertex and its weighted DFG neighbours for the
@@ -643,49 +783,30 @@ class ThreadedGraph:
         self._changed_in.append(vertex)
         self._changed_out.append(vertex)
         self._changed_in.extend(
-            v for v, _ in self._weighted(vertex, self._weighted_out)
+            v for v, _ in self._weighted(vertex.node_id, self._weighted_out)
         )
         self._changed_out.extend(
-            v for v, _ in self._weighted(vertex, self._weighted_in)
+            v for v, _ in self._weighted(vertex.node_id, self._weighted_in)
         )
 
-    def _wire_ancestors(self, vertex: ThreadedVertex) -> None:
-        """Add/rewire one edge per thread from scheduled DFG ancestors
-        (plus one per free ancestor) to ``vertex``."""
-        latest: Dict[int, ThreadedVertex] = {}
-        free_preds: List[ThreadedVertex] = []
-        for anc_id in self.dfg.reaching_to(vertex.node_id):
-            anc = self._vertices.get(anc_id)
-            if anc is None:
-                continue
-            if anc.thread is None:
-                free_preds.append(anc)
-            elif anc.thread == vertex.thread:
-                continue  # covered by the thread chain (validity window)
-            else:
-                current = latest.get(anc.thread)
-                if current is None or self._rank[anc] > self._rank[current]:
-                    latest[anc.thread] = anc
-        for anc in list(latest.values()) + free_preds:
+    def _wire(self, vertex: ThreadedVertex, walk: Walk) -> None:
+        """Add/rewire one edge per other thread from the latest scheduled
+        DFG ancestor and to the earliest descendant, plus one per free
+        relative; the own thread is covered by the chain (the validity
+        window).  Then fold the vertex into the chain cover."""
+        own = vertex.thread
+        (latest, free_preds), (earliest, free_succs) = walk
+        for k, anc in latest.items():
+            if k != own:
+                self._add_edge(anc, vertex)
+        for anc in free_preds:
             self._add_edge(anc, vertex)
-
-    def _wire_descendants(self, vertex: ThreadedVertex) -> None:
-        earliest: Dict[int, ThreadedVertex] = {}
-        free_succs: List[ThreadedVertex] = []
-        for desc_id in self.dfg.reachable_from(vertex.node_id):
-            desc = self._vertices.get(desc_id)
-            if desc is None:
-                continue
-            if desc.thread is None:
-                free_succs.append(desc)
-            elif desc.thread == vertex.thread:
-                continue  # chain-covered
-            else:
-                current = earliest.get(desc.thread)
-                if current is None or self._rank[desc] < self._rank[current]:
-                    earliest[desc.thread] = desc
-        for desc in list(earliest.values()) + free_succs:
+        for k, desc in earliest.items():
+            if k != own:
+                self._add_edge(vertex, desc)
+        for desc in free_succs:
             self._add_edge(vertex, desc)
+        self._cover_insert(vertex)
 
     def _add_edge(self, src: ThreadedVertex, dst: ThreadedVertex) -> None:
         """Record precedence ``src -> dst`` with Figure 2's slot rules.
@@ -784,6 +905,7 @@ class ThreadedGraph:
                 if pred is not succ:
                     self._add_edge(pred, succ)
         self._label_version = None
+        self._cover_stale = True
 
     def _precedes_in_thread(
         self, first: ThreadedVertex, second: ThreadedVertex

@@ -7,6 +7,13 @@ source/sink distance labels and the owning thread.  Bounding the arrays
 by K is what gives Lemma 7 (degree <= K) and hence the linear-time
 Theorem 3.
 
+Each vertex also carries its row of the *chain cover*: the K threads
+are chains covering the state, so the vertices of thread ``k`` that
+reach a given vertex form a prefix of that thread, and the ones it
+reaches a suffix.  ``before[k]`` names the last member of that prefix
+and ``after[k]`` the first member of that suffix, which is all the
+insertion windows of ``select`` need.
+
 Vertices that never occupy a functional unit (wire delays, constants)
 are *free*: they belong to no thread and keep plain adjacency sets
 instead of the K-slot arrays.  They are rare (one per refinement), so
@@ -35,6 +42,8 @@ class ThreadedVertex:
         "free_out",
         "sdist",
         "tdist",
+        "before",
+        "after",
         "is_sentinel",
     )
 
@@ -63,6 +72,11 @@ class ThreadedVertex:
         #: Distance labels maintained by ThreadedGraph.label().
         self.sdist = 0
         self.tdist = 0
+        #: Chain cover maintained by ThreadedGraph: before[k] is the
+        #: latest thread-k vertex reaching this one (itself included),
+        #: after[k] the earliest thread-k vertex it reaches.
+        self.before: List[Optional["ThreadedVertex"]] = [None] * num_threads
+        self.after: List[Optional["ThreadedVertex"]] = [None] * num_threads
         self.is_sentinel = is_sentinel
 
     # ------------------------------------------------------------------

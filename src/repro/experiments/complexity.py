@@ -7,8 +7,9 @@ layered DAGs of growing size with both and reports
 
 * wall-clock time per scheduled operation, and
 * abstract work counters (``SchedulerStats.total_work()`` — label
-  visits, position scans, window-BFS visits and rewired edges — for
-  Algorithm 1; relaxed edges for the naive scheduler),
+  visits, position scans, window visits (vertices whose chain-cover
+  vectors an insertion folded or a removal rebuilt) and rewired edges
+  — for Algorithm 1; relaxed edges for the naive scheduler),
 
 so the scaling shape is visible even on noisy machines.  Both come from
 the production :class:`~repro.core.threaded_graph.ThreadedGraph`, whose

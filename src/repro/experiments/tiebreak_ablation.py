@@ -1,16 +1,20 @@
 """Ablation: position tie-breaking inside ``select``.
 
 Theorem 2 fixes *which cost* a position must minimise, but not which of
-several minimum-cost positions to take.  DESIGN.md documents our choice
-(lowest thread, then the latest position — "append on tie").  Two
-justifications, both visible in this experiment's output:
+several minimum-cost positions to take.  docs/ARCHITECTURE.md ("The
+threaded kernel") documents our choice (lowest thread, then the latest
+position — "append on tie").  Two justifications, both visible in this
+experiment's output:
 
 * on a random-DAG population append-on-tie yields slightly shorter
   schedules than first-position-on-tie (appending keeps early slack
   open for operations that arrive later);
 * on the paper's Figure 3 grid it reproduces the printed lengths in
   51/60 cells and never exceeds them (first-on-tie: 45/60, with two
-  cells above the paper's) — see EXPERIMENTS.md.
+  cells above the paper's).
+
+Each policy replaces ``ThreadedGraph.position_key``, the one hook
+``select`` orders candidate positions by.
 
 Run: ``python -m repro.experiments.tiebreak_ablation``.
 """
@@ -26,7 +30,8 @@ from repro.graphs.random_dags import random_layered_dag
 from repro.graphs.registry import get_graph
 from repro.scheduling.resources import ResourceSet
 
-#: candidate -> sort key; candidates are (cost, thread, rank).
+#: ``ThreadedGraph.position_key`` replacements: (cost, thread, rank) ->
+#: sort key, the minimum wins.
 POLICIES: Dict[str, Callable[[int, int, int], Tuple]] = {
     "first": lambda cost, k, rank: (cost, k, rank),
     "append": lambda cost, k, rank: (cost, k, -rank),
@@ -42,46 +47,9 @@ class TieBreakRow:
     lengths: Dict[str, int]
 
 
-class _PolicyGraph(ThreadedGraph):
-    """ThreadedGraph with a swappable tie-break policy (ablation only)."""
-
-    policy_key = staticmethod(POLICIES["append"])
-
-    def _select(self, node_id, node):
-        self.label()
-        intrinsic_src, intrinsic_snk, anc, desc = self._intrinsics(node_id)
-        lo, hi = self._windows(anc, desc)
-        compatible = [
-            k for k, spec in enumerate(self.specs) if spec.supports(node.op)
-        ]
-        best = None
-        chosen = None
-        for k in compatible:
-            chain = self._threads[k]
-            for rank in range(lo.get(k, -1), hi.get(k, len(chain))):
-                prev_sdist = chain[rank].sdist if rank >= 0 else 0
-                next_tdist = (
-                    chain[rank + 1].tdist if rank + 1 < len(chain) else 0
-                )
-                cost = (
-                    max(prev_sdist, intrinsic_src)
-                    + max(next_tdist, intrinsic_snk)
-                    + node.delay
-                )
-                key = self.policy_key(cost, k, rank)
-                if best is None or key < best:
-                    best = key
-                    chosen = (k, rank)
-        if chosen is None:
-            from repro.errors import NoValidPositionError
-
-            raise NoValidPositionError(node_id)
-        return chosen
-
-
 def _length(dfg, resources, policy: str) -> int:
-    graph = _PolicyGraph.from_resources(dfg, resources)
-    graph.policy_key = staticmethod(POLICIES[policy])
+    graph = ThreadedGraph.from_resources(dfg, resources)
+    graph.position_key = POLICIES[policy]  # select()'s tie-break hook
     graph.schedule_all(dfg.topological_order())
     return graph.diameter()
 

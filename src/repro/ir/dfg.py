@@ -29,6 +29,22 @@ from repro.errors import (
 )
 from repro.ir.ops import DelayModel, OpKind
 
+#: Largest node delay or edge weight a graph accepts, in control steps.
+#: Far beyond any real schedule; it keeps a malformed graph from sending
+#: a scheduler's step loop toward astronomically large steps.
+MAX_STEPS = 1_000_000
+
+
+def check_steps(what: str, value) -> None:
+    """Reject a delay or weight that is not an int in ``[0, MAX_STEPS]``
+    (``bool`` is not an int here, nor is a float like ``1.0``)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value <= MAX_STEPS:
+        raise GraphError(
+            f"{what} must be in [0, {MAX_STEPS}], got {value}"
+        )
+
 
 @dataclass
 class Node:
@@ -36,7 +52,8 @@ class Node:
 
     In-place writes to ``op`` / ``delay`` notify the owning graph so its
     compiled :class:`~repro.ir.graph_view.GraphView` snapshot is rebuilt
-    on next access (see :meth:`DataFlowGraph.view`).
+    on next access (see :meth:`DataFlowGraph.view`).  ``delay`` must be
+    an int in ``[0, MAX_STEPS]``, at construction and on every write.
     """
 
     id: str
@@ -45,6 +62,8 @@ class Node:
     name: Optional[str] = None
 
     def __setattr__(self, name, value):
+        if name == "delay":
+            check_steps(f"delay of node {self.__dict__.get('id')!r}", value)
         object.__setattr__(self, name, value)
         if name in ("op", "delay"):
             owner = self.__dict__.get("_owner")
@@ -64,7 +83,8 @@ class Edge:
     """A directed dependence ``src -> dst``.
 
     In-place ``weight`` writes (the physical back-annotation path)
-    notify the owning graph, like :class:`Node` attribute writes.
+    notify the owning graph, like :class:`Node` attribute writes, and
+    are checked like delays: an int in ``[0, MAX_STEPS]``.
     """
 
     src: str
@@ -73,6 +93,12 @@ class Edge:
     weight: int = 0
 
     def __setattr__(self, name, value):
+        if name == "weight":
+            check_steps(
+                f"weight of edge {self.__dict__.get('src')!r} -> "
+                f"{self.__dict__.get('dst')!r}",
+                value,
+            )
         object.__setattr__(self, name, value)
         if name == "weight":
             owner = self.__dict__.get("_owner")
@@ -163,7 +189,9 @@ class DataFlowGraph:
     ) -> Node:
         """Add an operation and return its :class:`Node`.
 
-        ``delay`` defaults to the graph's delay model value for ``op``.
+        ``delay`` defaults to the graph's delay model value for ``op``;
+        any other value than an int in ``[0, MAX_STEPS]`` raises
+        :class:`GraphError`.
         """
         if not isinstance(node_id, str) or not node_id:
             raise GraphError(f"node id must be a non-empty string, got {node_id!r}")
@@ -173,8 +201,6 @@ class DataFlowGraph:
             raise GraphError(f"op must be an OpKind, got {op!r}")
         if delay is None:
             delay = self.delay_model[op]
-        if delay < 0:
-            raise GraphError(f"delay must be >= 0, got {delay}")
         node = Node(id=node_id, op=op, delay=delay, name=name)
         node.__dict__["_owner"] = self
         self._nodes[node_id] = node
@@ -193,14 +219,14 @@ class DataFlowGraph:
         """Add a dependence edge ``src -> dst``.
 
         Re-adding an existing edge updates its port/weight in place rather
-        than raising, which keeps refinement code simple.
+        than raising, which keeps refinement code simple.  ``weight``
+        must be an int in ``[0, MAX_STEPS]`` (else :class:`GraphError`).
         """
         self._require(src)
         self._require(dst)
         if src == dst:
             raise GraphError(f"self-loop on {src!r} is not allowed")
-        if weight < 0:
-            raise GraphError(f"edge weight must be >= 0, got {weight}")
+        check_steps(f"weight of edge {src!r} -> {dst!r}", weight)
         existing = self._succs[src].get(dst)
         if existing is not None:
             existing.port = port

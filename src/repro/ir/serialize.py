@@ -11,7 +11,7 @@ import json
 from typing import Any, Dict, Optional
 
 from repro.errors import GraphError
-from repro.ir.dfg import DataFlowGraph
+from repro.ir.dfg import DataFlowGraph, check_steps
 from repro.ir.ops import OpKind
 
 _FORMAT = "repro-dfg-v1"
@@ -42,6 +42,16 @@ def dfg_to_dict(dfg: DataFlowGraph) -> Dict[str, Any]:
             for edge in dfg.edges()
         ],
     }
+
+
+def _check_field(kind: str, position: int, field: str, value: Any) -> None:
+    """A delay or weight the graph would reject, named by its record."""
+    try:
+        check_steps(field, value)
+    except GraphError as exc:
+        raise GraphError(
+            f"{kind} record #{position} has a bad field value: {exc}"
+        ) from None
 
 
 def dfg_from_dict(data: Dict[str, Any]) -> DataFlowGraph:
@@ -79,6 +89,8 @@ def dfg_from_dict(data: Dict[str, Any]) -> DataFlowGraph:
     for position, node in enumerate(data.get("nodes", [])):
         if not isinstance(node, dict):
             raise GraphError(f"malformed node record #{position}: {node!r}")
+        if node.get("delay") is not None:
+            _check_field("node", position, "delay", node["delay"])
         try:
             dfg.add_node(
                 node["id"],
@@ -95,14 +107,10 @@ def dfg_from_dict(data: Dict[str, Any]) -> DataFlowGraph:
                 f"node record #{position} has unknown op kind "
                 f"{node.get('op')!r}"
             )
-        except TypeError as exc:
-            # e.g. a non-numeric delay failing the `delay < 0` check.
-            raise GraphError(
-                f"node record #{position} has a bad field value: {exc}"
-            )
     for position, edge in enumerate(data.get("edges", [])):
         if not isinstance(edge, dict):
             raise GraphError(f"malformed edge record #{position}: {edge!r}")
+        _check_field("edge", position, "weight", edge.get("weight", 0))
         try:
             dfg.add_edge(
                 edge["src"],

@@ -13,17 +13,36 @@ variant its baseline used, and the choice changes a few Figure 3 cells:
   scheduling (higher ``||v->||`` first).
 * :attr:`ListPriority.READY_ORDER` — first-come-first-served on the ready
   queue (arrival step, then graph order).  This variant reproduces the
-  paper's reported lengths exactly (see EXPERIMENTS.md).
+  paper's reported lengths exactly (pinned by
+  ``tests/experiments/test_priority_variants.py``).
 * :attr:`ListPriority.MOBILITY` — least mobility (ALAP - ASAP) first.
 
 Structural operations (wire delays, constants) never occupy a unit; they
 are placed at their earliest feasible step.
+
+Slot heaps
+----------
+No step rescans the ready pool.  Each unit type is an integer *slot*
+with a list of busy-until steps, one per unit.  An op whose
+predecessors all have start times knows its earliest step; it waits in
+a release heap until that step, then in its slot's heap, keyed by its
+priority (fixed from then on).  At each step a slot pops only as many
+ops as it has free units, binding them to the free units in index
+order.  Slots share no units, so this equals one pass over all
+startable ops in priority order; the ops started in a step are recorded
+in that global order.  The banked-memory slot keeps a full pass per
+step instead, since each op may only take a port of its own bank.
+Structural ops keep a plain ready list scanned every step; one released
+during a step's pass waits for the next step.
+``tests/scheduling/test_list_reference.py`` checks the heaps against
+the full-rescan loop they replaced.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import InfeasibleError
 from repro.ir.analysis import sink_distances
@@ -73,40 +92,73 @@ def list_schedule(
         else {}
     )
 
-    order_index = {node_id: i for i, node_id in enumerate(dfg.nodes())}
-    keys = _priority_keys(dfg, priority, order_index)
+    nodes = dfg.nodes()
+    order_index = {node_id: i for i, node_id in enumerate(nodes)}
+    ready_order = priority is ListPriority.READY_ORDER
+    keys = {} if ready_order else _priority_keys(dfg, priority, order_index)
 
-    remaining_preds = {n: dfg.in_degree(n) for n in dfg.nodes()}
+    # Slot space: unit type -> slot index; busy[slot][i] is the first
+    # step unit i of that type is free again.
+    fu_types = resources.fu_types
+    slot_of = {fu_type: slot for slot, fu_type in enumerate(fu_types)}
+    busy: List[List[int]] = [[0] * resources.count(ft) for ft in fu_types]
+    banked_slot = slot_of.get(banked)
+    op_slot: Dict[str, int] = {}
+    structural: Set[str] = set()
+    for node_id in nodes:
+        op = dfg.node(node_id).op
+        if op.is_structural:
+            structural.add(node_id)
+        else:
+            op_slot[node_id] = slot_of[resources.fu_for_op(op)]
+
+    remaining_preds = {n: dfg.in_degree(n) for n in nodes}
     # earliest[n]: earliest start once all preds are done (edge weights
     # in); window lower bounds act as release times.
     releases = windows or {}
     earliest: Dict[str, int] = {
         n: max(0, releases[n][0]) if n in releases else 0
-        for n in dfg.nodes()
+        for n in nodes
     }
-    # ready pool: ops whose preds have all been *scheduled* (their finish
-    # times known); each becomes startable at earliest[n].  An
-    # insertion-ordered dict-as-set keeps the O(n) list.remove() out of
-    # the inner loop while preserving the deterministic pool order.
-    ready: Dict[str, None] = dict.fromkeys(
-        n for n in dfg.nodes() if remaining_preds[n] == 0
-    )
-    arrival: Dict[str, int] = {n: earliest[n] for n in ready}
+    # An op is *ready* once every predecessor has a start time, which
+    # fixes its earliest step.  Ready structural ops wait in an
+    # insertion-ordered dict; ready unit ops wait in the release heap
+    # until their earliest step, then in their slot's heap, keyed by
+    # priority (fixed from then on: READY_ORDER's arrival is the
+    # earliest step, known at release).
+    structural_ready: Dict[str, None] = {}
+    release: List[Tuple[int, int, str]] = []
+    pools: List[List[Tuple[Tuple[int, int], str]]] = [[] for _ in fu_types]
+
+    def make_ready(node_id: str) -> None:
+        if node_id in structural:
+            structural_ready[node_id] = None
+        else:
+            heapq.heappush(
+                release, (earliest[node_id], order_index[node_id], node_id)
+            )
+
+    for node_id in nodes:
+        if remaining_preds[node_id] == 0:
+            make_ready(node_id)
 
     start_times: Dict[str, int] = {}
     binding: Dict[str, Tuple[FuType, int]] = {}
-    # busy_until[(fu_type, idx)]: first step the unit is free again.
-    busy_until: Dict[Tuple[FuType, int], int] = {
-        unit: 0 for unit in resources.instances()
-    }
 
     scheduled = 0
     step = 0
     total = dfg.num_nodes
-    # Upper bound on steps: serialize everything past the last release
-    # (defensive guard).
+    # Upper bound on steps: serialize everything, edge weights
+    # included, past the last release (defensive guard).
     max_release = max(earliest.values(), default=0)
-    guard = max_release + dfg.total_delay() + dfg.num_edges + dfg.num_nodes + 1
+    guard = (
+        max_release
+        + dfg.total_delay()
+        + sum(edge.weight for edge in dfg.edges())
+        + dfg.num_edges
+        + dfg.num_nodes
+        + 1
+    )
 
     def on_scheduled(node_id: str, start: int) -> None:
         """Release successors whose last predecessor just got a time."""
@@ -116,8 +168,7 @@ def list_schedule(
             earliest[succ] = max(earliest[succ], finish + edge.weight)
             remaining_preds[succ] -= 1
             if remaining_preds[succ] == 0:
-                ready[succ] = None
-                arrival[succ] = earliest[succ]
+                make_ready(succ)
 
     while scheduled < total:
         if step > guard:
@@ -126,42 +177,70 @@ def list_schedule(
                 "graph or resources are inconsistent"
             )
         # Structural ops issue as soon as they are startable, outside the
-        # unit-allocation loop.
-        for node_id in list(ready):
-            if dfg.node(node_id).op.is_structural and earliest[node_id] <= step:
-                del ready[node_id]
+        # unit allocation.  Ones released by this pass wait a step.
+        for node_id in list(structural_ready):
+            if earliest[node_id] <= step:
+                del structural_ready[node_id]
                 start_times[node_id] = step
                 scheduled += 1
                 on_scheduled(node_id, step)
 
-        startable = [
-            n
-            for n in ready
-            if earliest[n] <= step and not dfg.node(n).op.is_structural
-        ]
-        if priority is ListPriority.READY_ORDER:
-            startable.sort(key=lambda n: (arrival[n], order_index[n]))
-        else:
-            startable.sort(key=lambda n: keys[n])
-
-        for node_id in startable:
-            fu_type = resources.fu_for_op(dfg.node(node_id).op)
-            unit = _free_unit(
-                busy_until, resources, fu_type, step,
-                bank=bank_of_op.get(node_id),
+        while release and release[0][0] <= step:
+            _, _, node_id = heapq.heappop(release)
+            key = (
+                (earliest[node_id], order_index[node_id]) if ready_order
+                else keys[node_id]
             )
-            if unit is None:
+            heapq.heappush(pools[op_slot[node_id]], (key, node_id))
+
+        # Each slot starts its best-priority ops on its free units, in
+        # unit order.  Slots share nothing, so this equals one pass over
+        # all ready ops in priority order.  The banked slot tries every
+        # ready op against its own bank's ports.
+        started: List[Tuple[Tuple[int, int], str, Tuple[FuType, int]]] = []
+        for slot, pool in enumerate(pools):
+            if not pool:
                 continue
-            del ready[node_id]
+            fu_type, units = fu_types[slot], busy[slot]
+            if slot == banked_slot:
+                waiting = []
+                for entry in sorted(pool):
+                    node_id = entry[1]
+                    index = _free_unit(
+                        units, step, fu_type, bank_of_op.get(node_id)
+                    )
+                    if index is None:
+                        waiting.append(entry)
+                        continue
+                    units[index] = step + max(1, dfg.delay(node_id))
+                    started.append((entry[0], node_id, (fu_type, index)))
+                pool[:] = waiting  # sorted, hence still a heap
+                continue
+            for index, free_at in enumerate(units):
+                if not pool:
+                    break
+                if free_at <= step:
+                    key, node_id = heapq.heappop(pool)
+                    units[index] = step + max(1, dfg.delay(node_id))
+                    started.append((key, node_id, (fu_type, index)))
+
+        # Record in global priority order, as one pass over the whole
+        # ready pool would (start_times keeps that insertion order).
+        started.sort(key=lambda entry: entry[0])
+        for _, node_id, unit in started:
             start_times[node_id] = step
             binding[node_id] = unit
-            busy_until[unit] = step + max(1, dfg.delay(node_id))
             scheduled += 1
             on_scheduled(node_id, step)
 
         step += 1
-        if ready:
-            floor = min(earliest[n] for n in ready)
+        if not any(pools):
+            # Nothing startable is waiting for a unit, so the next
+            # event is the earliest pending release.
+            pending = [earliest[n] for n in structural_ready]
+            if release:
+                pending.append(release[0][0])
+            floor = min(pending, default=step)
             if floor > step:
                 # Every ready op is still before its release; skip the
                 # provably idle steps (hierarchical window releases can
@@ -182,7 +261,11 @@ def _priority_keys(
     priority: ListPriority,
     order_index: Dict[str, int],
 ):
-    """Sort keys per node; lower sorts first."""
+    """Sort keys per node for the static priorities; lower sorts first.
+
+    READY_ORDER has none: its key is the arrival step, known only once
+    the op is ready.
+    """
     if priority is ListPriority.SINK_DISTANCE:
         tdist = sink_distances(dfg)
         return {n: (-tdist[n], order_index[n]) for n in dfg.nodes()}
@@ -191,32 +274,26 @@ def _priority_keys(
         # engine serves it straight off the cached graph view.
         frames = FrameEngine(dfg)
         return {n: (frames.width(n) - 1, order_index[n]) for n in dfg.nodes()}
-    if priority is ListPriority.READY_ORDER:
-        return {n: (0, order_index[n]) for n in dfg.nodes()}
     raise ValueError(f"unknown priority {priority!r}")
 
 
 def _free_unit(
-    busy_until: Dict[Tuple[FuType, int], int],
-    resources: ResourceSet,
-    fu_type: Optional[FuType],
+    units: List[int],
     step: int,
-    bank: Optional[int] = None,
-) -> Optional[Tuple[FuType, int]]:
-    """First free instance of ``fu_type`` at ``step``, or ``None``.
+    fu_type: FuType,
+    bank: Optional[int],
+) -> Optional[int]:
+    """First index among ``units`` free at ``step``, or ``None``.
 
     ``bank`` restricts the scan to that bank's port slice of a banked
-    type; ``None`` (flat types, or a banked op on an unbanked set)
-    scans every instance.
+    type; ``None`` (an op the bank map does not cover) scans every
+    instance.
     """
-    if fu_type is None:
-        return None
-    lo, hi = 0, resources.count(fu_type)
-    if bank is not None and fu_type.banking is not None:
+    lo, hi = 0, len(units)
+    if bank is not None:
         ports = fu_type.banking[1]
         lo, hi = bank * ports, (bank + 1) * ports
     for index in range(lo, hi):
-        unit = (fu_type, index)
-        if busy_until[unit] <= step:
-            return unit
+        if units[index] <= step:
+            return index
     return None

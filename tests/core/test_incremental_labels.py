@@ -1,13 +1,16 @@
-"""Incremental labels equal the full sweep, and schedules stay put.
+"""Incremental labels and windows equal their oracles; schedules stay put.
 
 ``ThreadedGraph.label()`` relabels only the vertices an insertion can
 change; ``label(force=True)`` is the full topological sweep it must
-agree with.  The property test snapshots every vertex's labels after
-each step, forces the sweep, and requires the two to match, across
-graph families, meta schedules, typed and universal threads, weighted
-edges, and the refinement operations that mutate the state or the DFG
-mid-run.  The digest test pins the hardened start times of the
-registry graphs to the values the full-sweep kernel produced.
+agree with.  Likewise the insertion windows come from chain-cover
+vectors folded in at each insertion and rebuilt after a removal;
+:func:`bfs_windows` recomputes them with the two multi-source BFS
+passes over the state that the kernel used before.  The property test
+checks both after each step, across graph families, meta schedules,
+typed and universal threads, weighted edges, and the refinement
+operations that mutate the state or the DFG mid-run.  The digest test
+pins the hardened start times of the registry graphs to the values the
+full-sweep kernel produced.
 """
 
 import hashlib
@@ -54,6 +57,55 @@ def assert_labels_match_sweep(state: ThreadedGraph) -> None:
     assert incremental == swept
 
 
+def _reach(roots, forward):
+    """Multi-source reachability over the state (roots included)."""
+    seen = set(roots)
+    frontier = list(roots)
+    while frontier:
+        vertex = frontier.pop()
+        neighbours = vertex.successors() if forward else vertex.predecessors()
+        for other in neighbours:
+            if not other.is_sentinel and other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return seen
+
+
+def bfs_windows(state: ThreadedGraph, node_id: str):
+    """``(lo, hi)`` per thread for inserting ``node_id``: after the last
+    thread member reaching a scheduled DFG ancestor, before the first
+    one reached from a scheduled DFG descendant."""
+    dfg = state.dfg
+    rank = {}
+    for k in range(state.K):
+        for position, member in enumerate(state.thread_members(k)):
+            rank[member] = position
+    lo = [-1] * state.K
+    hi = [len(state.thread_members(k)) for k in range(state.K)]
+    ancestors = [
+        state.vertex(a) for a in dfg.reaching_to(node_id) if a in state
+    ]
+    for vertex in _reach(ancestors, forward=False):
+        if vertex.thread is not None:
+            k = vertex.thread
+            lo[k] = max(lo[k], rank[vertex.node_id])
+    descendants = [
+        state.vertex(d) for d in dfg.reachable_from(node_id) if d in state
+    ]
+    for vertex in _reach(descendants, forward=True):
+        if vertex.thread is not None:
+            k = vertex.thread
+            hi[k] = min(hi[k], rank[vertex.node_id])
+    return lo, hi
+
+
+def assert_windows_match_bfs(state: ThreadedGraph) -> None:
+    for node_id in state.dfg.nodes():
+        if node_id not in state:
+            cover = state._windows(state._walk(node_id))
+            assert cover == bfs_windows(state, node_id), node_id
+
+
 def _add_phi(dfg, rng: random.Random) -> str:
     """A PHI node spliced after a random op (x -> phi -> x's consumer)."""
     source = rng.choice(dfg.nodes())
@@ -78,7 +130,9 @@ def _add_phi(dfg, rng: random.Random) -> str:
     weighted=st.booleans(),
     with_phi=st.booleans(),
     actions=st.lists(
-        st.sampled_from(("wire", "reschedule", "improve", "phi", "none")),
+        st.sampled_from(
+            ("wire", "reschedule", "remove", "improve", "phi", "none")
+        ),
         min_size=0,
         max_size=6,
     ),
@@ -94,6 +148,12 @@ def _add_phi(dfg, rng: random.Random) -> str:
     family="layered", size=18, seed=9880, meta="meta2", threads=4,
     weighted=True, with_phi=False,
     actions=["none", "reschedule", "reschedule", "phi", "none", "phi"],
+)
+# A weighted edge longer than the list scheduler's old step guard
+# (meta4 runs the list scheduler for its order).
+@example(
+    family="expression", size=2, seed=646, meta="meta4", threads=1,
+    weighted=True, with_phi=False, actions=[],
 )
 def test_incremental_labels_equal_full_sweep(
     family, size, seed, meta, threads, weighted, with_phi, actions
@@ -118,6 +178,7 @@ def test_incremental_labels_equal_full_sweep(
     for position, node_id in enumerate(order):
         state.schedule(node_id)
         assert_labels_match_sweep(state)
+        assert_windows_match_bfs(state)
         action = planned.get(position)
         scheduled = state.scheduled_ids()
         if action == "wire":
@@ -130,9 +191,13 @@ def test_incremental_labels_equal_full_sweep(
                 insert_wire_delay(state, edge.src, edge.dst)
         elif action == "reschedule":
             victim = rng.choice(scheduled)
+            # No window check in between: rescheduling a free victim
+            # commits against the stale chain cover the removal left.
             unschedule(state, victim)
             assert_labels_match_sweep(state)
             state.schedule(victim)
+        elif action == "remove":
+            unschedule(state, rng.choice(scheduled))
         elif action == "improve":
             improve_schedule(state, max_rounds=1)
         elif (
@@ -142,6 +207,7 @@ def test_incremental_labels_equal_full_sweep(
         ):
             resolve_phi(state, phi, into=rng.choice(("move", "nop")))
         assert_labels_match_sweep(state)
+        assert_windows_match_bfs(state)
 
 
 def _start_time_digest() -> str:

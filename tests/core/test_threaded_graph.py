@@ -8,10 +8,12 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.core import check_against_graph, check_state
+from repro.core.scheduler import ThreadedScheduler
 from repro.core.threaded_graph import ThreadedGraph, ThreadSpec
 from repro.graphs import hal, paper_fig1
+from repro.graphs.random_dags import random_layered_dag
 from repro.ir.ops import OpKind
-from repro.scheduling.resources import ALU
+from repro.scheduling.resources import ALU, ResourceSet
 
 
 class TestConstruction:
@@ -163,3 +165,25 @@ class TestStats:
         assert state.stats.positions_scanned > 0
         assert state.stats.label_visits > 0
         assert state.stats.total_work() > 0
+
+    def test_work_gate_on_800_ops(self):
+        """Deterministic work of the paper's kernel at 800 ops.
+
+        The label, position and rewiring counts are the ones the
+        BFS-window kernel made on this input (the windows change no
+        decision); the windows themselves cost 270,386 BFS visits
+        there, and the chain cover must stay an order of magnitude
+        below that.
+        """
+        dfg = random_layered_dag(800, seed=1)
+        scheduler = ThreadedScheduler(
+            dfg, resources=ResourceSet.parse("2+/-,2*"), meta="meta2"
+        ).run()
+        scheduler.state.label()
+        stats = scheduler.state.stats
+        assert stats.window_visits <= 27_000
+        assert (
+            stats.label_visits,
+            stats.positions_scanned,
+            stats.edges_rewired,
+        ) == (119_757, 27_014, 2_141)

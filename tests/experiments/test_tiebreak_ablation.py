@@ -29,3 +29,13 @@ class TestTieBreakAblation:
         text = render(tiebreak_ablation(num_random=2))
         assert "tie-break" in text
         assert "append" in text
+
+    def test_default_run_pinned(self):
+        # The totals the ablation printed when it carried its own copy
+        # of ThreadedGraph._select; the position_key hook must not move
+        # them.
+        rows = tiebreak_ablation()
+        assert [row.lengths for row in rows] == [
+            {"first": 187, "append": 188, "round-robin": 187},
+            {"first": 289, "append": 286, "round-robin": 296},
+        ]

@@ -8,7 +8,7 @@ from repro.errors import (
     GraphError,
     UnknownNodeError,
 )
-from repro.ir.dfg import DataFlowGraph
+from repro.ir.dfg import MAX_STEPS, DataFlowGraph
 from repro.ir.ops import DelayModel, OpKind
 
 
@@ -22,6 +22,52 @@ def diamond():
     g.add_edge("b", "d", port=0)
     g.add_edge("c", "d", port=1)
     return g
+
+
+#: Delays and weights that are not an int in [0, MAX_STEPS].
+BAD_STEPS = [1.5, float("nan"), True, False, "2", None, -1, MAX_STEPS + 1,
+             10**30]
+
+
+class TestStepValues:
+    """Node delays and edge weights are ints in ``[0, MAX_STEPS]``,
+    checked on construction and on every in-place write."""
+
+    @pytest.mark.parametrize("delay", [v for v in BAD_STEPS if v is not None])
+    def test_bad_delay_rejected(self, delay):
+        g = DataFlowGraph()
+        with pytest.raises(GraphError):
+            g.add_node("x", OpKind.ADD, delay=delay)
+        assert "x" not in g
+
+    @pytest.mark.parametrize("weight", BAD_STEPS)
+    def test_bad_weight_rejected(self, weight):
+        g = diamond()
+        with pytest.raises(GraphError):
+            g.add_edge("a", "d", weight=weight)
+        assert not g.has_edge("a", "d")
+
+    @pytest.mark.parametrize("value", BAD_STEPS)
+    def test_bad_in_place_writes_rejected(self, value):
+        g = diamond()
+        node, edge = g.node("b"), g.edge("a", "b")
+        with pytest.raises(GraphError):
+            node.delay = value
+        with pytest.raises(GraphError):
+            edge.weight = value
+        assert (node.delay, edge.weight) == (1, 0)
+
+    def test_readding_an_edge_with_a_bad_weight_leaves_it_intact(self):
+        g = diamond()
+        with pytest.raises(GraphError):
+            g.add_edge("b", "d", port=7, weight=1.5)
+        assert (g.edge("b", "d").port, g.edge("b", "d").weight) == (0, 0)
+
+    def test_bounds_accepted(self):
+        g = DataFlowGraph()
+        g.add_node("a", OpKind.ADD, delay=0)
+        g.add_node("b", OpKind.ADD, delay=MAX_STEPS)
+        assert g.add_edge("a", "b", weight=MAX_STEPS).weight == MAX_STEPS
 
 
 class TestConstruction:

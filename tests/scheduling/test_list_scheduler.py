@@ -7,6 +7,8 @@ from repro.errors import InfeasibleError
 from repro.graphs import get_graph, hal
 from repro.graphs.random_dags import random_layered_dag
 from repro.ir.analysis import diameter
+from repro.ir.dfg import DataFlowGraph
+from repro.ir.ops import OpKind
 from repro.scheduling import (
     ListPriority,
     ResourceSet,
@@ -76,6 +78,17 @@ class TestGeneralBehaviour:
         assert "w1" in schedule.start_times
         assert "w1" not in schedule.binding
         assert validate_schedule(schedule) == []
+
+    def test_heavy_edge_weight_is_not_infeasible(self):
+        # The step guard once ignored edge weights, so an edge heavier
+        # than every delay, edge and node counted together raised.
+        g = DataFlowGraph()
+        g.add_node("a", OpKind.ADD)
+        g.add_node("b", OpKind.ADD)
+        g.add_edge("a", "b", weight=8)
+        for priority in ListPriority:
+            schedule = list_schedule(g, ResourceSet.parse("1+/-"), priority)
+            assert schedule.start_times == {"a": 0, "b": 9}
 
     def test_single_unit_serializes(self):
         g = hal()

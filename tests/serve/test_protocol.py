@@ -100,6 +100,13 @@ class TestParseRequest:
                 _body(graph={"format": "repro-dfg-v1", "name": ["x"]}),
                 "name must be a string",
             ),
+            (
+                _body(graph={
+                    "format": "repro-dfg-v1",
+                    "nodes": [{"id": "a", "op": "add", "delay": 1.5}],
+                }),
+                "delay must be an integer, got 1.5",
+            ),
         ],
     )
     def test_bad_requests_raise_protocol_error(self, body, fragment):
