@@ -10,7 +10,8 @@ the same graph through the router and assert the tier's contracts:
   the improved canonical entry is peer-visible on the *other* replica
   (accepted rewrites publish across the mesh);
 - the heuristic tier is untouched: every force-directed length still
-  matches the committed BENCH_baseline.json.
+  matches the committed BENCH_baseline.json;
+- a fault-free cluster reports no ``publish_errors`` and no ``errors``.
 """
 import json
 import signal
@@ -107,6 +108,20 @@ try:
         checked += 1
     assert checked > 0, "baseline carried no force-directed rows"
     print(f"FDS baseline intact across {checked} graphs")
+
+    # --- A healthy cluster reports no peer errors: no fault was
+    # injected, so every publish (the rewrites included) was delivered
+    # and every exchange was well formed.  Publishes are async: let the
+    # queues drain first. ---
+    deadline = time.monotonic() + 20
+    while any(replicas.client(i).metrics()["publish_pending"]
+              for i in range(2)):
+        assert time.monotonic() < deadline, "publishes never drained"
+        time.sleep(0.2)
+    cluster = client.metrics()["cluster"]
+    assert cluster["publish_errors"] == 0, cluster
+    assert cluster["errors"] == 0, cluster
+    print("cluster peer errors: none")
 
     # --- Router drains clean on SIGTERM. ---
     router.send_signal(signal.SIGTERM)

@@ -71,6 +71,18 @@ try:
     )
     assert survivor_hits >= 1, "no survivor peer-fetched"
 
+    # --- Before any fault, the cluster reports no peer errors:
+    # every publish was delivered, every exchange well formed.
+    # Publishes are async: let the queues drain first. ---
+    deadline = time.monotonic() + 20
+    while any(replicas.client(i).metrics()["publish_pending"]
+              for i in range(3)):
+        assert time.monotonic() < deadline, "publishes never drained"
+        time.sleep(0.2)
+    healthy = client.metrics()["cluster"]
+    assert healthy["publish_errors"] == 0, healthy
+    assert healthy["errors"] == 0, healthy
+
     # --- SIGTERM the victim mid-burst.  The cluster /metrics
     # aggregate only sums up replicas, so snapshot the victim
     # first to account for its computes. ---

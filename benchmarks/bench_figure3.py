@@ -3,8 +3,7 @@
 Each benchmark case schedules one (benchmark, scheduler) pair across
 the paper's three resource constraints, timing the runs and asserting
 the schedule lengths the reproduction is pinned to (list baseline and
-FIR match the paper exactly; threaded cells are never worse — see
-EXPERIMENTS.md).
+FIR match the paper exactly; threaded cells are never worse).
 
 Run ``pytest benchmarks/bench_figure3.py --benchmark-only`` or
 ``python -m repro.experiments.figure3`` for the plain table.

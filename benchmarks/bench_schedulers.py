@@ -1,7 +1,7 @@
 """Ablation bench: all schedulers head-to-head on the paper benchmarks.
 
-Not a paper artifact per se — this is the design-choice ablation
-DESIGN.md calls for: list (both priorities), force-directed, threaded
+Not a paper artifact per se — this is the design-choice ablation:
+list (both priorities), force-directed, threaded
 (best meta) and, on HAL, the exact branch-and-bound optimum as the
 yardstick.  The graph/constraint line-up is the unified suite from
 :mod:`repro.engine.bench` (also behind ``python -m repro bench``).

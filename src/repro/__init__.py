@@ -14,7 +14,7 @@ Quickstart::
     print(schedule.length)   # 8 control steps, matching the paper
     print(schedule.table())
 
-Package map (details in DESIGN.md):
+Package map (details in README.md):
 
 =====================  =============================================
 ``repro.ir``           dataflow graphs, analyses, behavioral frontend

@@ -16,6 +16,12 @@ one :class:`JobResult` per job, in submission order.  Under the hood it
    ``ProcessPoolExecutor``, and
 5. stores fresh results back into the cache.
 
+Every write into the store — a fresh compute, a peer-fetched entry,
+a peer publish (:meth:`BatchEngine.install_result`) and an improver
+rewrite (:meth:`BatchEngine.rewrite_result`) — passes one admission
+point, ``BatchEngine._admit``: it ranks the incoming result against
+the entry already held and writes nothing when the held entry wins.
+
 The pool uses the ``fork`` start method where the platform offers it:
 ``spawn``/``forkserver`` re-import the parent's ``__main__``, which
 breaks engine use from a REPL, a ``python - <<EOF`` heredoc, or any
@@ -376,24 +382,6 @@ class BatchEngine:
             result = replace(result, gap=old.gap)
         return result
 
-    def _peek_entry(self, key: str) -> Optional[JobResult]:
-        """The stored entry for ``key`` across memory *and* disk.
-
-        :meth:`ResultCache.peek` only sees the memory layer, which is
-        fine for payload merging but not for the anytime rewrite
-        guard: a freshly started process (a CLI improver against a
-        shared cache directory, a restarted replica receiving a stale
-        peer publish) must compare against the entry already on disk.
-        ``export_entry`` is the stats-free read that spans both
-        layers.
-        """
-        data = self.cache.export_entry(key)
-        if data is None:
-            return None
-        data = dict(data)
-        data.pop("format", None)
-        return JobResult.from_dict(data)
-
     def _store_candidate(
         self, result: JobResult, old: Optional[JobResult]
     ) -> JobResult:
@@ -428,6 +416,35 @@ class BatchEngine:
             return self._merge_payloads(result, old)
         return result
 
+    def _admit(
+        self, result: JobResult, publish: bool
+    ) -> Tuple[JobResult, bool]:
+        """The one write path into the store; call under ``_lock``.
+
+        Ranks ``result`` against the entry already held for its key —
+        across memory *and* disk, so a freshly started process (a CLI
+        improver on a shared cache directory, a restarted replica
+        receiving a stale peer publish) compares against what is on
+        disk — and stores the winner (see :meth:`_store_candidate`).
+        ``publish`` picks the cache's publishing ``put`` over its
+        local-only ``install``, so a peer-supplied entry never echoes
+        back into the cluster it came from.  When the held entry wins,
+        nothing is written.  Returns the entry now held and whether
+        ``result`` (with merged payloads) was stored.
+        """
+        old = self.cache.lookup(result.key)
+        stored = self._store_candidate(result, old)
+        if stored is old:
+            return old, False
+        (self.cache.put if publish else self.cache.install)(stored)
+        return stored, True
+
+    def _as_hit(self, entry: JobResult) -> JobResult:
+        """``entry`` shaped for this engine and served as a cache hit,
+        with its own copy of any artifact it keeps."""
+        artifact = deepcopy(entry.artifact) if self.capture_schedules else None
+        return self._shape(replace(entry, cached=True, artifact=artifact))
+
     def _shape(self, result: JobResult) -> JobResult:
         """Trim a result to what this engine was asked to produce.
 
@@ -454,12 +471,28 @@ class BatchEngine:
         to start and jobs keep running in the submitting thread.
         """
         if self.workers > 1 and self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_pool_context(self.mp_context),
-                initializer=_worker_init,
-            )
+            self._pool = self._new_pool(self.workers)
         return self
+
+    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
+        """A worker pool with this engine's start method and the
+        worker-side signal detachment (see :func:`_worker_init`)."""
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=_pool_context(self.mp_context),
+            initializer=_worker_init,
+        )
+
+    def _job_args(self, key: str, spec: JobSpec, graph_hash: str) -> tuple:
+        """The :func:`execute_job` arguments for one job on this engine."""
+        return (
+            spec,
+            key,
+            graph_hash,
+            self.compute_gaps,
+            self.gap_ops_limit,
+            self.capture_schedules,
+        )
 
     def shutdown(self, wait: bool = True) -> None:
         """Tear down the persistent pool (no-op when never started)."""
@@ -491,7 +524,8 @@ class BatchEngine:
         key may both compute it — the second store-back simply
         overwrites the first with an identical result; callers that
         must never duplicate work coalesce upstream (see
-        :mod:`repro.serve.coalescer`).
+        :mod:`repro.serve.coalescer`).  Every store-back, like every
+        other write, goes through :meth:`_admit`.
         """
         specs = list(jobs)
         for spec in specs:
@@ -569,18 +603,13 @@ class BatchEngine:
                     # after the bug (or resource model) is fixed.
                     resolve(key, result)
                     continue
-                # A rejected leaner entry may survive in the memory
-                # layer: carry its other payload over before
-                # overwriting it.  For anytime keys the candidate may
-                # *be* that entry (a concurrent rewrite out-ranked this
-                # compute) — serve it as a cache hit and skip the put.
-                old = self._peek_entry(key)
-                stored = self._store_candidate(result, old)
-                if stored is old:
-                    resolve(key, self._shape(replace(stored, cached=True)))
-                    continue
-                self.cache.put(stored)
-                resolve(key, self._shape(stored))
+                # A rejected leaner entry may survive in the store:
+                # _admit carries its other payload over.  For anytime
+                # keys that entry may win outright (a concurrent
+                # rewrite out-ranked this compute) — serve it as a hit.
+                held, stored = self._admit(result, publish=True)
+                shaped = self._shape(held) if stored else self._as_hit(held)
+                resolve(key, shaped)
 
         return [resolved[index] for index in range(len(specs))]
 
@@ -596,7 +625,7 @@ class BatchEngine:
         released, the installs of whatever came back retake it.  A
         plain :class:`ResultCache` fetches nothing and this is a
         no-op.  Fetched entries that still fail this engine's
-        servability bar (missing artifact/gap) are installed — so their
+        servability bar (missing artifact/gap) are admitted — so their
         payloads merge on overwrite — but stay scheduled for compute.
         """
         if not keyed:
@@ -611,22 +640,11 @@ class BatchEngine:
                 if result is None or result.error is not None:
                     still.append((key, spec, graph_hash))
                     continue
-                merged = self._store_candidate(result, self._peek_entry(key))
-                self.cache.install(merged)
-                if not self._servable(merged, spec):
+                held, _ = self._admit(result, publish=False)
+                if not self._servable(held, spec):
                     still.append((key, spec, graph_hash))
                     continue
-                artifact = (
-                    deepcopy(merged.artifact)
-                    if self.capture_schedules
-                    else None
-                )
-                resolve(
-                    key,
-                    self._shape(
-                        replace(merged, cached=True, artifact=artifact)
-                    ),
-                )
+                resolve(key, self._as_hit(held))
         return still
 
     # ------------------------------------------------------------------
@@ -657,12 +675,7 @@ class BatchEngine:
         if result.error is not None:
             return False
         with self._lock:
-            old = self._peek_entry(result.key)
-            stored = self._store_candidate(result, old)
-            if stored is old:
-                return False
-            self.cache.install(stored)
-        return True
+            return self._admit(result, publish=False)[1]
 
     def rewrite_result(self, result: JobResult) -> bool:
         """Rewrite a cached anytime entry in place with a better one.
@@ -686,12 +699,7 @@ class BatchEngine:
             "({known}), got {algorithm!r}",
         )
         with self._lock:
-            old = self._peek_entry(result.key)
-            stored = self._store_candidate(result, old)
-            if stored is old:
-                return False
-            self.cache.put(stored)
-        return True
+            return self._admit(result, publish=True)[1]
 
     def _compute(
         self, keyed: List[Tuple[str, JobSpec, str]]
@@ -700,27 +708,12 @@ class BatchEngine:
             return []
         if self.workers == 1 or (len(keyed) == 1 and self._pool is None):
             return [
-                (
-                    key,
-                    execute_job(
-                        spec,
-                        key,
-                        graph_hash,
-                        self.compute_gaps,
-                        self.gap_ops_limit,
-                        self.capture_schedules,
-                    ),
-                )
-                for key, spec, graph_hash in keyed
+                (item[0], execute_job(*self._job_args(*item)))
+                for item in keyed
             ]
         if self._pool is not None:
             return self._collect(self._pool, keyed)
-        max_workers = min(self.workers, len(keyed))
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=_pool_context(self.mp_context),
-            initializer=_worker_init,
-        ) as pool:
+        with self._new_pool(min(self.workers, len(keyed))) as pool:
             return self._collect(pool, keyed)
 
     def _collect(
@@ -766,17 +759,8 @@ class BatchEngine:
         futures = {}
         crashed: List[Tuple[str, JobSpec, str]] = []
         for item in keyed:
-            key, spec, graph_hash = item
             try:
-                future = pool.submit(
-                    execute_job,
-                    spec,
-                    key,
-                    graph_hash,
-                    self.compute_gaps,
-                    self.gap_ops_limit,
-                    self.capture_schedules,
-                )
+                future = pool.submit(execute_job, *self._job_args(*item))
             except (BrokenProcessPool, RuntimeError):
                 # Pool already broken (or shut down by a concurrent
                 # rebuild): everything not yet submitted retries solo.
@@ -804,11 +788,7 @@ class BatchEngine:
             if self._pool is not broken:
                 return
             broken.shutdown(wait=False)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_pool_context(self.mp_context),
-                initializer=_worker_init,
-            )
+            self._pool = self._new_pool(self.workers)
 
     def _retry_solo(
         self, key: str, spec: JobSpec, graph_hash: str
@@ -827,19 +807,9 @@ class BatchEngine:
                 return self._crash_result(key, spec, graph_hash,
                                           quarantine)
             try:
-                with ProcessPoolExecutor(
-                    max_workers=1,
-                    mp_context=_pool_context(self.mp_context),
-                    initializer=_worker_init,
-                ) as solo:
+                with self._new_pool(1) as solo:
                     result = solo.submit(
-                        execute_job,
-                        spec,
-                        key,
-                        graph_hash,
-                        self.compute_gaps,
-                        self.gap_ops_limit,
-                        self.capture_schedules,
+                        execute_job, *self._job_args(key, spec, graph_hash)
                     ).result()
             except BrokenProcessPool:
                 with self._crash_lock:

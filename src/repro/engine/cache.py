@@ -22,6 +22,15 @@ oldest known mtime, re-statted before it dies so a peer process's
 touches are honored.  Eviction runs whenever an entry is registered,
 keeping the store at or under its bound at all times.
 
+One entry format: :func:`encode_entry` is the only encoder of the
+entry document (the :data:`ENTRY_FORMAT` tag plus the result's
+fields) and :func:`decode_entry` the only decoder, so the disk layer,
+the peer export and the cluster publisher cannot drift apart.  On
+disk, one reader classifies an entry as ok, unreadable, foreign (a
+newer format, never served and never overwritten) or corrupt (counted
+and dropped); :meth:`ResultCache.lookup` reads through it without
+stats or recency effects.
+
 >>> cache = ResultCache()
 >>> cache.get("0" * 64) is None
 True
@@ -39,7 +48,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Set, Union
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro import faultlab
 from repro.engine.job import JobResult
@@ -65,6 +74,34 @@ def _is_key(stem: str) -> bool:
     if len(stem) != _KEY_LENGTH:
         return False
     return all(c in "0123456789abcdef" for c in stem)
+
+
+def encode_entry(result: JobResult) -> Dict:
+    """The entry document for ``result``: the format tag, then its fields.
+
+    The one encoder of the store's format.  The disk layer, the serving
+    side (:meth:`ResultCache.export_entry`) and the cluster publisher
+    all write this document, so an entry round-trips byte-for-byte
+    whichever tier it crossed.
+    """
+    stored = dataclasses.replace(result, cached=False)
+    return {"format": ENTRY_FORMAT, **stored.to_dict()}
+
+
+def decode_entry(data: object) -> Optional[JobResult]:
+    """The result an entry document holds, or None for a foreign format.
+
+    The version tag gates parsing: a future format may keep these field
+    names with new semantics, so field-level parse success proves
+    nothing, and a newer tag reads as None.  Untagged entries read as
+    this version.  A malformed document raises ``KeyError``,
+    ``TypeError`` or ``ValueError``.
+    """
+    if not isinstance(data, dict):
+        raise TypeError("entry is not a JSON object")
+    if data.get("format") not in (None, ENTRY_FORMAT):
+        return None
+    return JobResult.from_dict(data)
 
 
 class ResultCache:
@@ -305,12 +342,29 @@ class ResultCache:
     # ------------------------------------------------------------------
     # The cache protocol.
 
-    def _read_entry(self, key: str) -> Optional[str]:
-        """Raw entry text, or None when the entry cannot be read."""
+    def _load(self, key: str) -> Tuple[str, Optional[JobResult], int]:
+        """Read and classify the disk entry for ``key``.
+
+        Returns ``(verdict, result, size)``.  The verdict is ``"ok"``
+        (``result`` is the entry, ``size`` its bytes on disk),
+        ``"unreadable"`` (absent, or an I/O error), ``"foreign"`` (a
+        newer format's tag) or ``"corrupt"`` (torn or malformed).
+        Stats-free; the format verdict of an ok or foreign entry is
+        memoized, so put() and eviction honor the never-destroy-newer-
+        payloads policy without re-reading what was already read.
+        """
         try:
-            return self._path(key).read_text(encoding="utf-8")
+            text = self._path(key).read_text(encoding="utf-8")
+            result = decode_entry(json.loads(text))
         except OSError:
-            return None
+            return "unreadable", None, 0
+        except (ValueError, KeyError, TypeError):
+            return "corrupt", None, 0
+        if result is None:
+            self._foreign.add(key)
+            return "foreign", None, 0
+        self._native.add(key)
+        return "ok", result, len(text.encode("utf-8"))
 
     def _stat_entry(self, key: str):
         """``(stat, confirmed_missing)`` for the entry's disk presence.
@@ -343,18 +397,7 @@ class ResultCache:
         """
         if self._dir is None or key in self._native:
             return False
-        if key in self._foreign:
-            return True
-        try:
-            data = json.loads(self._path(key).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return False
-        foreign = (
-            isinstance(data, dict)
-            and data.get("format") not in (None, ENTRY_FORMAT)
-        )
-        (self._foreign if foreign else self._native).add(key)
-        return foreign
+        return key in self._foreign or self._load(key)[0] == "foreign"
 
     def get(
         self,
@@ -375,57 +418,32 @@ class ResultCache:
         """
         result = self._memory.get(key)
         if result is None and self._dir is not None:
-            text = self._read_entry(key)
-            if text is None:
-                # Unreadable.  Only forget the key once the entry is
-                # confirmed gone (a peer evicted it); a transient I/O
-                # error must not destroy a valid entry.
+            verdict, result, size = self._load(key)
+            if verdict == "ok":
+                self._memory[key] = result
+                self._bytes.setdefault(key, size)
+                if key not in self._known:
+                    # A peer-written entry enters both layers here, even
+                    # when `require` rejects it below — it occupies
+                    # memory, so it must be visible to the index and the
+                    # capacity bound.
+                    stat, _ = self._stat_entry(key)
+                    self._note(key, stat.st_mtime if stat else time.time())
+                    self._evict(protect=key)
+            elif verdict == "unreadable":
+                # Only forget the key once the entry is confirmed gone
+                # (a peer evicted it); a transient I/O error must not
+                # destroy a valid entry.
                 if key in self._known and self._entry_missing(key):
                     self._drop(key)
-            else:
-                data = None
-                try:
-                    data = json.loads(text)
-                    # The version tag gates parsing: a future format
-                    # may keep these field names with new semantics,
-                    # so field-level parse success proves nothing.
-                    if (
-                        not isinstance(data, dict)
-                        or data.get("format") in (None, ENTRY_FORMAT)
-                    ):
-                        result = JobResult.from_dict(data)
-                        self._native.add(key)
-                    else:
-                        self._foreign.add(key)
-                except (ValueError, KeyError, TypeError):
-                    result = None
-                if result is not None:
-                    self._memory[key] = result
-                    self._bytes.setdefault(key, len(text.encode("utf-8")))
-                    if key not in self._known:
-                        # A peer-written entry enters both layers here,
-                        # even when `require` rejects it below — it
-                        # occupies memory, so it must be visible to the
-                        # index and the capacity bound.
-                        stat, _ = self._stat_entry(key)
-                        self._note(
-                            key,
-                            stat.st_mtime if stat else time.time(),
-                        )
-                        self._evict(protect=key)
-                elif (
-                    isinstance(data, dict)
-                    and data.get("format") not in (None, ENTRY_FORMAT)
-                ):
-                    # A newer engine's entry this version cannot parse:
-                    # a miss here, but not ours to delete.
-                    pass
-                else:
-                    # Torn or corrupt entry: degrade to a miss, count
-                    # the quarantine, and drop the wreck so it stops
-                    # occupying capacity.
-                    self.corrupt_dropped += 1
-                    self._drop(key)
+            elif verdict == "corrupt":
+                # Torn or corrupt entry: degrade to a miss, count the
+                # quarantine, and drop the wreck so it stops occupying
+                # capacity.
+                self.corrupt_dropped += 1
+                self._drop(key)
+            # A foreign entry (a newer engine's) is a miss here, but
+            # not ours to delete.
         if result is not None and require is not None and not require(result):
             result = None
         if result is None:
@@ -445,51 +463,29 @@ class ResultCache:
         )
         return dataclasses.replace(result, cached=True, artifact=artifact)
 
-    def peek(self, key: str) -> Optional[JobResult]:
-        """The memory-layer entry, with no stats or recency effects.
+    def lookup(self, key: str) -> Optional[JobResult]:
+        """The stored entry for ``key``, memory first, then disk; or None.
 
-        After a :meth:`get` whose ``require`` predicate rejected an
-        entry, the entry sits in the memory layer; callers recomputing
-        a richer result peek at it to merge payloads the new run did
-        not produce (so an upgrade never destroys the other payload).
-        """
-        return self._memory.get(key)
-
-    def export_entry(self, key: str) -> Optional[Dict]:
-        """The raw entry document for ``key``, or None if absent.
-
-        This is the serving side of the cluster tier (``GET
-        /cache/<key>``): the returned dict is exactly what
-        :meth:`put` writes to disk (format tag included), so a peer
-        installing it round-trips byte-for-byte.  Deliberately free of
-        stats and recency effects — a peer probing for an entry must
-        not distort this replica's hit/miss accounting or LRU order —
-        and it never exports what it would never serve: foreign-format
-        or corrupt disk entries read as absent.
+        Free of stats, recency and index effects — a peer probing for
+        an entry, or a write ranking itself against the incumbent, must
+        not distort hit/miss accounting or LRU order.  Foreign-format
+        and corrupt disk entries read as absent.  The entry is the
+        store's own object: callers must not mutate it.
         """
         result = self._memory.get(key)
-        if result is not None:
-            stored = dataclasses.replace(result, cached=False)
-            return {"format": ENTRY_FORMAT, **stored.to_dict()}
-        if self._dir is None:
-            return None
-        text = self._read_entry(key)
-        if text is None:
-            return None
-        try:
-            data = json.loads(text)
-        except ValueError:
-            return None
-        if not isinstance(data, dict):
-            return None
-        if data.get("format") not in (None, ENTRY_FORMAT):
-            return None
-        try:
-            JobResult.from_dict(data)
-        except (KeyError, TypeError, ValueError):
-            return None
-        data.setdefault("format", ENTRY_FORMAT)
-        return data
+        if result is None and self._dir is not None:
+            result = self._load(key)[1]
+        return result
+
+    def export_entry(self, key: str) -> Optional[Dict]:
+        """The entry document for ``key`` (``GET /cache/<key>``), or None.
+
+        Exactly what :meth:`put` writes to disk, format tag included,
+        so a peer installing it round-trips byte-for-byte; as
+        stats-free as :meth:`lookup`.
+        """
+        result = self.lookup(key)
+        return None if result is None else encode_entry(result)
 
     def record_dedup_hits(self, count: int) -> None:
         """Count ``count`` extra hits served by within-batch dedup.
@@ -525,9 +521,7 @@ class ResultCache:
                 self._bytes[result.key] = 0
         else:
             payload = json.dumps(
-                {"format": ENTRY_FORMAT, **stored.to_dict()},
-                indent=2,
-                sort_keys=True,
+                encode_entry(stored), indent=2, sort_keys=True
             )
             if faultlab.enabled():
                 # Chaos harness: persist only a prefix of the entry —

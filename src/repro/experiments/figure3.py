@@ -96,8 +96,8 @@ def figure3_table(
     """Compute every cell of Figure 3.
 
     ``priority`` configures the baseline list scheduler (the paper does
-    not state its variant; READY_ORDER reproduces its numbers — see
-    EXPERIMENTS.md).
+    not state its variant; READY_ORDER reproduces its numbers, as
+    ``tests/experiments/test_priority_variants.py`` pins).
     """
     cells: List[Figure3Cell] = []
     resource_sets = [ResourceSet.parse(c) for c in CONSTRAINTS]

@@ -9,7 +9,7 @@ The paper does not list the graph, so this module reconstructs it from
 the lattice shape, **calibrated** against the paper's Figure 3 AR row:
 the reconstruction reproduces the row exactly — schedule lengths
 19 / 11 / 34 under 2 ALU + 2 MUL, 4 ALU + 4 MUL and 2 ALU + 1 MUL with
-the baseline list scheduler (see EXPERIMENTS.md, "AR calibration").
+the baseline list scheduler.
 
 Structure
 ---------

@@ -10,7 +10,7 @@ shape of the original wave-digital filter: a long *spine* of adaptor
 additions with coefficient-multiplier branches that leave the spine and
 rejoin it a few adaptors later, plus short parallel adder chains for the
 adaptor side paths.  Branch positions and rejoin offsets were calibrated
-against the paper's Figure 3 EF row (19 / 17 / 24); see EXPERIMENTS.md.
+against the paper's Figure 3 EF row (19 / 17 / 24).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ SPINE_ADDS = 13
 TOTAL_ADDS = 26
 TOTAL_MULS = 8
 
-# Calibrated defaults (see EXPERIMENTS.md "EWF calibration").
+# Calibrated defaults.
 #
 # ``DOUBLE_BRANCH``: spine index hosting the two-multiplier series branch
 #   (gives the 17-step critical path: 13 adds + 2 muls in series).

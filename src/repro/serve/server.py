@@ -300,16 +300,15 @@ class ScheduleServer(HttpServerCore):
                 return 400, protocol.error_payload(
                     f"bad cache entry: {exc}"
                 ), {}
-            accepted = await loop.run_in_executor(
+            stored = await loop.run_in_executor(
                 None, self.engine.install_result, result
             )
-            if not accepted:
-                self.metrics.errors += 1
-                return 400, protocol.error_payload(
-                    "error results are never cached"
-                ), {}
-            self.metrics.peer_received += 1
-            return 200, {"stored": True, "key": key}, {}
+            # parse_entry already refused error results, so a refusal
+            # here is a stale anytime entry the held one out-ranks: a
+            # healthy answer, so the sender's breaker stays closed.
+            if stored:
+                self.metrics.peer_received += 1
+            return 200, {"stored": stored, "key": key}, {}
         self.metrics.errors += 1
         return 405, protocol.error_payload(
             "use GET or POST /cache/<key>"

@@ -45,7 +45,6 @@ lock — never the cache structures.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import queue
@@ -55,7 +54,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro import metrics
-from repro.engine.cache import ENTRY_FORMAT, ResultCache
+from repro.engine.cache import ResultCache, decode_entry, encode_entry
 from repro.engine.job import JobResult
 from repro.errors import ConfigError, ReproError, check_duration
 from repro.resilience import CircuitBreaker, RetryPolicy
@@ -106,35 +105,29 @@ def check_peer_options(
     check_duration("peer_timeout_s", peer_timeout_s)
 
 
-def entry_payload_of(result: JobResult) -> Dict:
-    """The canonical entry document for ``result`` (format tag first).
-
-    Identical to what :meth:`ResultCache.put` writes to disk, so a
-    published entry round-trips byte-for-byte with a locally stored
-    one.
-    """
-    stored = dataclasses.replace(result, cached=False)
-    return {"format": ENTRY_FORMAT, **stored.to_dict()}
+#: The canonical entry document for a result: the store's one encoder
+#: (see :func:`repro.engine.cache.encode_entry`), so a published entry
+#: round-trips byte-for-byte with a locally stored one.
+entry_payload_of = encode_entry
 
 
 def parse_entry(data: object, key: str) -> JobResult:
     """Validate one peer-supplied entry document into a JobResult.
 
-    Refuses — with :class:`PeerError` — anything that must never enter
-    a local tier: non-objects, entries tagged with a format this
-    version cannot parse, payloads whose embedded key disagrees with
-    the requested one, structured *error* results (never cached, so
-    never accepted), and records missing required fields.
+    On top of the store's shared decode
+    (:func:`repro.engine.cache.decode_entry`), which refuses
+    non-objects, foreign formats and records missing required fields,
+    this refuses — with :class:`PeerError` — what must never enter a
+    local tier from a peer: payloads whose embedded key disagrees with
+    the requested one, and structured *error* results (never cached, so
+    never accepted).
     """
-    if not isinstance(data, dict):
-        raise PeerError("peer entry is not a JSON object")
-    tag = data.get("format")
-    if tag not in (None, ENTRY_FORMAT):
-        raise PeerError(f"peer entry has foreign format {tag!r}")
     try:
-        result = JobResult.from_dict(data)
+        result = decode_entry(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise PeerError(f"peer entry is malformed: {exc}")
+    if result is None:
+        raise PeerError(f"peer entry has foreign format {data['format']!r}")
     if result.key != key:
         raise PeerError(
             f"peer entry key {result.key[:12]}... does not match the "
@@ -327,9 +320,7 @@ class ClusterStore(ResultCache):
             or result.error is not None
         ):
             return
-        payload = json.dumps(
-            entry_payload_of(result), sort_keys=True
-        ).encode("utf-8")
+        payload = json.dumps(encode_entry(result), sort_keys=True).encode()
         targets = self._publish_targets(result.key)
         if self.publish_mode == "sync":
             for name in targets:

@@ -1,6 +1,6 @@
 """Keep docs/*.md and the code from drifting apart.
 
-Four sync contracts:
+Five sync contracts:
 
 1. every dotted ``repro.*`` reference in the docs resolves to a real
    module (or an attribute of one);
@@ -14,7 +14,9 @@ Four sync contracts:
    every flag-like token in the docs exists);
 4. the algorithm table in ARCHITECTURE.md and the declarations in
    :mod:`repro.engine.algorithms` name the same algorithms, aliases,
-   and capabilities, both directions.
+   and capabilities, both directions;
+5. every ``*.md`` file named in the code, the tests or the benchmarks
+   exists.
 """
 
 import importlib
@@ -32,12 +34,15 @@ from repro.hier.cli import build_hier_parser
 from repro.improve.cli import build_improve_parser
 from repro.serve.server import ScheduleServer
 
-DOCS = Path(__file__).resolve().parents[2] / "docs"
+ROOT = Path(__file__).resolve().parents[2]
+DOCS = ROOT / "docs"
 DOC_FILES = sorted(DOCS.glob("*.md"))
 
 REFERENCE = re.compile(r"\brepro(?:\.\w+)+")
 # Lookarounds keep ASCII-diagram runs of dashes from matching.
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9]+(?:-[a-z0-9]+)*(?![\w-])")
+# A file name ending in ".md" (a glob like "docs/*.md" names none).
+MARKDOWN = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def doc_text(name: str) -> str:
@@ -266,3 +271,17 @@ def test_algorithm_table_matches_declarations():
         for algorithm_id, algorithm in ALGORITHMS.items()
     ]
     assert documented == declared
+
+
+def test_markdown_references_resolve():
+    """A ``*.md`` named under src/, tests/ or benchmarks/ exists at the
+    repository root, under docs/, or beside the file that names it."""
+    dangling = []
+    for folder in ("src", "tests", "benchmarks"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for name in sorted(set(MARKDOWN.findall(text))):
+                bases = (ROOT, DOCS, path.parent)
+                if not any((base / name).is_file() for base in bases):
+                    dangling.append(f"{path.relative_to(ROOT)}: {name}")
+    assert not dangling, f"dangling markdown references: {dangling}"

@@ -386,6 +386,48 @@ class TestEntryFormat:
         fresh = ResultCache(tmp_path / "cache")
         assert fresh.get("a" * 64).length == 8
 
+    @pytest.mark.parametrize("algorithm", ["meta2", "bnb-anytime"])
+    def test_export_equals_the_shard_file(self, tmp_path, algorithm):
+        """The document served to peers is the one on disk, whether the
+        entry is read from a warm memory layer or a cold store."""
+        from repro.engine.batch import BatchEngine
+        from repro.engine.job import JobSpec
+
+        cache_dir = tmp_path / "cache"
+        engine = BatchEngine(cache_dir=cache_dir, capture_schedules=True)
+        spec = JobSpec.make("HAL", "2+/-,2*", algorithm)
+        key = engine.submit([spec])[0].key
+        on_disk = json.loads(_shard_path(cache_dir, key).read_text("utf-8"))
+        assert on_disk["artifact"] is not None
+        assert engine.cache.export_entry(key) == on_disk
+        assert ResultCache(cache_dir).export_entry(key) == on_disk
+
+    def test_untagged_legacy_entry_exports_with_the_tag(self, tmp_path):
+        from repro.engine.cache import ENTRY_FORMAT
+
+        cache_dir = tmp_path / "cache"
+        ResultCache(cache_dir).put(_result())
+        path = _shard_path(cache_dir, "a" * 64)
+        legacy = json.loads(path.read_text("utf-8"))
+        del legacy["format"]
+        path.write_text(json.dumps(legacy), encoding="utf-8")
+
+        exported = ResultCache(cache_dir).export_entry("a" * 64)
+        assert exported == {**legacy, "format": ENTRY_FORMAT}
+
+    def test_lookup_is_stats_and_recency_free(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        ResultCache(cache_dir).put(_result())
+        path = _shard_path(cache_dir, "a" * 64)
+        os.utime(path, (1_000_000, 1_000_000))
+
+        cold = ResultCache(cache_dir)
+        assert cold.lookup("a" * 64).length == 8
+        assert cold.lookup("b" * 64) is None
+        assert cold.stats()["hits"] == cold.stats()["misses"] == 0
+        assert path.stat().st_mtime == 1_000_000
+        assert len(cold._memory) == 0  # nothing registered either
+
 
 class TestFailureRobustness:
     def test_failed_disk_write_registers_nothing(self, tmp_path, monkeypatch):
@@ -620,6 +662,7 @@ class TestMigrationConflicts:
         path.write_text(json.dumps(v99), encoding="utf-8")
 
         fresh = ResultCache(cache_dir)
+        assert fresh.export_entry("a" * 64) is None  # never served
         assert fresh.get("a" * 64) is None  # miss: unparseable here
         fresh.put(_result(length=8))  # the recompute that follows
         assert json.loads(path.read_text("utf-8")) == v99  # preserved

@@ -60,6 +60,19 @@ class TestCorruptEntries:
         assert reader.get(KEY) is None
         assert reader.stats()["corrupt_dropped"] == 1
 
+    def test_undecodable_bytes_also_count(self, tmp_path):
+        """A shard that is not UTF-8 is a wreck like any other, not an
+        exception out of the read path."""
+
+        def garble(path):
+            path.write_bytes(b'{"key": "\xff\xfe"}')
+
+        cache_dir = write_then_corrupt(tmp_path, garble)
+        assert ResultCache(cache_dir).export_entry(KEY) is None
+        reader = ResultCache(cache_dir)
+        assert reader.get(KEY) is None
+        assert reader.stats()["corrupt_dropped"] == 1
+
     def test_corrupt_entry_never_exported_to_peers(self, tmp_path):
         cache_dir = write_then_corrupt(tmp_path, truncate_half)
         reader = ResultCache(cache_dir)

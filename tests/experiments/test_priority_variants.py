@@ -1,7 +1,7 @@
-"""Pin the baseline-priority claim recorded in EXPERIMENTS.md.
+"""Pin the baseline-priority claim the Figure 3 reproduction rests on.
 
 The paper does not state which ready-list priority its list scheduler
-used.  EXPERIMENTS.md documents that first-come-first-served
+used.  The reproduction's claim is that first-come-first-served
 (READY_ORDER) reproduces the paper's numbers while critical-path
 priority (SINK_DISTANCE) produces slightly *better* baselines on HAL —
 this test keeps that statement true.

@@ -8,14 +8,18 @@ sockets.
 """
 
 import asyncio
+import json
 import threading
 
 import pytest
 
+from repro.engine.batch import BatchEngine
 from repro.engine.keys import cache_key_for
-from repro.engine.job import JobSpec
+from repro.engine.job import JobSpec, anytime_meta
+from repro.improve import Improver, improve_once
 from repro.serve.client import ServeClient
 from repro.serve.server import ScheduleServer
+from repro.store import ClusterStore, entry_payload_of
 
 SPEC = JobSpec.make("HAL", "2+/-,2*", "list")
 
@@ -97,6 +101,21 @@ class TestCacheEndpoint:
         assert served.source == "cache"
         assert client_b.metrics()["computed"] == 0
 
+    def test_get_body_is_the_same_from_memory_and_disk(
+        self, serve_factory, tmp_path
+    ):
+        cache_dir = str(tmp_path / "cache")
+        _, _, warm = serve_factory(cache_dir=cache_dir)
+        raw = warm.schedule_raw("HAL", resources="2+/-,2*",
+                                algorithm="list")
+        key = raw.headers["x-repro-key"]
+        from_memory = warm.request("GET", f"/cache/{key}")
+        # A second replica on the same directory holds it on disk only.
+        _, _, cold = serve_factory(cache_dir=cache_dir)
+        from_disk = cold.request("GET", f"/cache/{key}")
+        assert from_memory.status == from_disk.status == 200
+        assert from_disk.body == from_memory.body
+
     def test_post_refuses_garbage(self, serve_factory):
         _, _, client = serve_factory()
         key = cache_key_for(SPEC)
@@ -176,3 +195,60 @@ class TestPeerFetch:
                 server.stop(), loop
             ).result(30)
             assert server.engine.cache.publish_errors == 1
+
+
+def stale_fir_entry():
+    """An unproved FIR anytime incumbent, cut short by its node budget."""
+    engine = BatchEngine(compute_gaps=True, capture_schedules=True)
+    partial = Improver(engine, "FIR", "2+/-,2*", slice_nodes=200)
+    partial.run(nodes=1_000)
+    stale = engine.cache.lookup(partial.key)
+    assert not anytime_meta(stale)["proved"]
+    return stale
+
+
+class TestStaleAnytimePublish:
+    """A peer publishing an anytime entry the receiver already out-ranks
+    is a healthy exchange: nothing is stored, nothing is an error."""
+
+    def test_receiver_answers_not_stored(self, serve_factory):
+        server, _, client = serve_factory()
+        stale = stale_fir_entry()
+        improve_once(server.engine, "FIR", "2+/-,2*")  # proves 11
+        before = client.metrics()
+        posted = client.request(
+            "POST",
+            f"/cache/{stale.key}",
+            json.dumps(entry_payload_of(stale), sort_keys=True).encode(),
+        )
+        assert posted.status == 200
+        assert posted.json() == {"stored": False, "key": stale.key}
+        after = client.metrics()
+        assert after["errors"] == before["errors"] == 0
+        assert after["peer_received"] == before["peer_received"]
+        kept = client.cache_entry(stale.key)
+        assert kept["length"] == 11
+        assert kept["artifact"]["meta"]["bnb"]["proved"] is True
+
+    def test_sender_counts_a_delivery_and_keeps_its_breaker_closed(
+        self, serve_factory
+    ):
+        server, _, client = serve_factory()
+        stale = stale_fir_entry()
+        improve_once(server.engine, "FIR", "2+/-,2*")
+        # One failure would open this breaker.
+        sender = ClusterStore(
+            [f"127.0.0.1:{server.port}"],
+            publish="sync",
+            breaker_threshold=1,
+        )
+        try:
+            sender.put(stale)
+            stats = sender.peer_stats()
+        finally:
+            sender.close()
+        assert stats["published"] == 1
+        assert stats["publish_errors"] == 0
+        assert stats["peer_breakers_open"] == 0
+        assert stats["peer_breaker_opened"] == 0
+        assert client.metrics()["errors"] == 0

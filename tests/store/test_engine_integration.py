@@ -5,6 +5,7 @@ and the compute phase — outside the submission lock — and a fetched
 entry must count as a cache hit (``cached=True``), never a compute.
 """
 
+import os
 import threading
 
 from repro.engine.batch import BatchEngine
@@ -29,7 +30,7 @@ def computed_entry():
     donor = rich_engine(ClusterStore([]))
     result = donor.submit([SPEC])[0]
     return cache_key_for(SPEC), entry_payload_of(
-        donor.cache.peek(result.key)
+        donor.cache.lookup(result.key)
     )
 
 
@@ -67,7 +68,7 @@ class TestPeerResolution:
         )
         engine = rich_engine(store)
         assert engine.submit([SPEC])[0].cached
-        assert store.peek(key) is not None
+        assert store.lookup(key) is not None
         assert pushes == [], "the cluster already holds a fetched entry"
 
     def test_unservable_fetched_entry_still_merges_its_payload(self):
@@ -84,7 +85,7 @@ class TestPeerResolution:
         engine = BatchEngine(cache=store, capture_schedules=True)
         result = engine.submit([SPEC])[0]
         assert not result.cached, "an unservable entry is recomputed"
-        stored = store.peek(key)
+        stored = store.lookup(key)
         assert stored.artifact is not None
         assert stored.gap == entry["gap"]
 
@@ -152,3 +153,50 @@ class TestPeerResolution:
         result = engine.submit([SPEC])[0]
         assert not result.cached
         assert engine.submit([SPEC])[0].cached
+
+
+class TestRefusedCandidate:
+    def test_losing_peer_entry_writes_nothing(self, tmp_path, monkeypatch):
+        """A peer entry that loses to the local anytime entry is refused
+        without a write, even when the local entry is not servable here
+        (it lacks the artifact this engine asks for)."""
+        from dataclasses import replace
+
+        from repro.engine import batch
+        from repro.engine.cache import ResultCache
+
+        spec = JobSpec.make("HAL", "2+/-,2*", "bnb-anytime")
+        cache_dir = tmp_path / "cache"
+        # The local incumbent: a proved optimum, stored without artifact.
+        lean = BatchEngine(cache_dir=cache_dir).submit([spec])[0]
+        assert lean.artifact is None
+        key = lean.key
+        path = cache_dir / key[:2] / f"{key}.json"
+        os.utime(path, (1_000_000, 1_000_000))
+        before = path.read_bytes()
+        # A stale peer incumbent, one step longer, with an artifact.
+        rich = BatchEngine(capture_schedules=True).submit([spec])[0]
+        stale = entry_payload_of(replace(rich, length=rich.length + 1))
+
+        store = ClusterStore(
+            PEERS,
+            cache_dir=cache_dir,
+            fetch=lambda host, port, wanted, timeout: stale,
+            push=lambda *a, **k: None,
+        )
+        # The recompute fails, so any write could only come from the
+        # peer phase.
+        monkeypatch.setattr(
+            batch,
+            "execute_job",
+            lambda spec, key, *rest: replace(
+                lean, length=-1, error="SchedulingError: stub"
+            ),
+        )
+        engine = BatchEngine(cache=store, capture_schedules=True)
+        assert engine.submit([spec])[0].error is not None
+        assert store.peer_stats()["peer_hits"] == 1
+        assert store.stats()["stored"] == 0
+        assert path.stat().st_mtime == 1_000_000
+        assert path.read_bytes() == before
+        assert ResultCache(cache_dir).lookup(key).length == lean.length
