@@ -28,11 +28,7 @@ harness behind the tests and the CI ``dispatch-smoke`` job).
 
 from repro.dispatch.metrics import DispatchMetrics
 from repro.dispatch.ring import DEFAULT_VNODES, HashRing
-from repro.dispatch.router import (
-    DispatchRouter,
-    parse_replica,
-    run_router,
-)
+from repro.dispatch.router import DispatchRouter, run_router
 from repro.dispatch.testing import ReplicaProcess, ReplicaSet
 
 __all__ = [
@@ -42,6 +38,5 @@ __all__ = [
     "HashRing",
     "ReplicaProcess",
     "ReplicaSet",
-    "parse_replica",
     "run_router",
 ]

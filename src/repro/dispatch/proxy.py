@@ -1,18 +1,24 @@
 """A minimal asyncio HTTP/1.1 client for router→replica exchanges.
 
 One connection per exchange, ``Connection: close``, no chunked
-encoding — the replicas are our own :mod:`repro.serve` processes, which
-always answer with a ``Content-Length``.  The response body is returned
-as raw bytes and relayed to the client untouched, which is how the
-dispatcher preserves the serving layer's byte-determinism contract.
+encoding.  Every exchange goes through one opener: it writes the
+request, reads and parses the response head, and reads a
+``Content-Length`` body in full.  A close-delimited body (the
+replicas' SSE streams) comes back as a live chunk iterator instead.
+:func:`exchange` drains that iterator under a bound;
+:func:`open_stream` hands it to the caller.  The response body is
+returned as raw bytes and relayed to the client untouched, which is
+how the dispatcher preserves the serving layer's byte-determinism
+contract.
 
 Failures callers must handle:
 
 ``OSError``
     Nothing listening (connection refused), reset mid-exchange, or any
-    other transport failure.
+    other transport failure.  A replica that closes before the head or
+    a ``Content-Length`` body is complete raises ``ConnectionError``.
 ``asyncio.TimeoutError``
-    The exchange as a whole exceeded ``timeout``.
+    The exchange exceeded ``timeout``.
 ``ProxyProtocolError``
     The replica answered something that is not parseable HTTP/1.1.
 """
@@ -70,33 +76,52 @@ def _parse_head(head: bytes) -> Tuple[int, Dict[str, str]]:
     return status, headers
 
 
-async def exchange(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    body: bytes = b"",
-    headers: Optional[Dict[str, str]] = None,
-    timeout: float = 60.0,
-) -> Exchange:
-    """One request/response against ``host:port``.
-
-    Returns ``(status, lowercase headers, body bytes)``.
-    """
-    return await asyncio.wait_for(
-        _exchange(host, port, method, path, body, headers),
-        timeout=timeout,
-    )
+def _content_length(headers: Dict[str, str]) -> Optional[int]:
+    """The declared body length, or None for a close-delimited body."""
+    text = headers.get("content-length")
+    if text is None:
+        return None
+    try:
+        length = int(text)
+        if length < 0:
+            raise ValueError
+    except ValueError:
+        raise ProxyProtocolError(f"bad Content-Length: {text!r}")
+    if length > MAX_RESPONSE_BODY:
+        raise ProxyProtocolError("response body too large")
+    return length
 
 
-async def _exchange(
+async def _close(writer: asyncio.StreamWriter) -> None:
+    try:
+        writer.close()
+        await writer.wait_closed()
+    except (ConnectionError, OSError, RuntimeError):
+        pass
+
+
+async def _chunks(reader, writer) -> AsyncIterator[bytes]:
+    """Raw body bytes until the replica closes; always releases the
+    connection, whether iterated to the end or closed early."""
+    try:
+        while True:
+            chunk = await reader.read(64 * 1024)
+            if not chunk:
+                return
+            yield chunk
+    finally:
+        await _close(writer)
+
+
+async def _open(
     host: str,
     port: int,
     method: str,
     path: str,
     body: bytes,
     headers: Optional[Dict[str, str]],
-) -> Exchange:
+) -> StreamOpen:
+    """Connect, write one request, and read the response up to its body."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
         lines = [
@@ -113,51 +138,59 @@ async def _exchange(
             "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
         )
         await writer.drain()
-
         head = await reader.readuntil(b"\r\n\r\n")
         status, response_headers = _parse_head(head)
-        length_text = response_headers.get("content-length")
-        if length_text is None:
-            # Our servers always set Content-Length; read to EOF as a
-            # fallback so a close-delimited body still round-trips.
-            # (One read() returns on the first buffered chunk — loop
-            # until the peer closes or the body exceeds its bound.)
-            chunks = []
-            received = 0
-            while received <= MAX_RESPONSE_BODY:
-                chunk = await reader.read(64 * 1024)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                received += len(chunk)
-            payload = b"".join(chunks)
-        else:
-            try:
-                length = int(length_text)
-                if length < 0:
-                    raise ValueError
-            except ValueError:
-                raise ProxyProtocolError(
-                    f"bad Content-Length: {length_text!r}"
-                )
-            if length > MAX_RESPONSE_BODY:
-                raise ProxyProtocolError("response body too large")
-            payload = (
-                await reader.readexactly(length) if length else b""
-            )
-        if len(payload) > MAX_RESPONSE_BODY:
-            raise ProxyProtocolError("response body too large")
-        return status, response_headers, payload
+        length = _content_length(response_headers)
+        if length is not None:
+            payload = await reader.readexactly(length) if length else b""
+            await _close(writer)
+            return status, response_headers, payload, None
     except asyncio.IncompleteReadError as exc:
+        writer.close()
         raise ConnectionError(
             f"replica {host}:{port} closed mid-response"
         ) from exc
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
+    except BaseException:
+        writer.close()
+        raise
+    return status, response_headers, b"", _chunks(reader, writer)
+
+
+async def exchange(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    body: bytes = b"",
+    headers: Optional[Dict[str, str]] = None,
+    timeout: float = 60.0,
+) -> Exchange:
+    """One request/response against ``host:port``.
+
+    Returns ``(status, lowercase headers, body bytes)``.  ``timeout``
+    bounds the whole exchange, including the read of a close-delimited
+    body (our servers always set Content-Length; this is a fallback).
+    """
+
+    async def _exchange() -> Exchange:
+        status, response_headers, payload, chunks = await _open(
+            host, port, method, path, body, headers
+        )
+        if chunks is not None:
+            parts = []
+            received = 0
+            try:
+                async for chunk in chunks:
+                    parts.append(chunk)
+                    received += len(chunk)
+                    if received > MAX_RESPONSE_BODY:
+                        raise ProxyProtocolError("response body too large")
+            finally:
+                await chunks.aclose()
+            payload = b"".join(parts)
+        return status, response_headers, payload
+
+    return await asyncio.wait_for(_exchange(), timeout=timeout)
 
 
 async def open_stream(
@@ -181,76 +214,6 @@ async def open_stream(
     any Content-Length body — *not* the streaming tail, which lives as
     long as the run it relays.
     """
-
-    async def _open():
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            lines = [
-                f"GET {path} HTTP/1.1",
-                f"Host: {host}:{port}",
-                "Connection: close",
-                "Content-Length: 0",
-            ]
-            for name, value in (headers or {}).items():
-                lines.append(f"{name}: {value}")
-            writer.write(
-                "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
-            )
-            await writer.drain()
-            head = await reader.readuntil(b"\r\n\r\n")
-        except BaseException:
-            writer.close()
-            raise
-        return reader, writer, head
-
-    try:
-        reader, writer, head = await asyncio.wait_for(
-            _open(), timeout=timeout
-        )
-    except asyncio.IncompleteReadError as exc:
-        raise ConnectionError(
-            f"replica {host}:{port} closed mid-response"
-        ) from exc
-    try:
-        status, response_headers = _parse_head(head)
-        length_text = response_headers.get("content-length")
-        if length_text is not None:
-            try:
-                length = int(length_text)
-                if length < 0:
-                    raise ValueError
-            except ValueError:
-                raise ProxyProtocolError(
-                    f"bad Content-Length: {length_text!r}"
-                )
-            if length > MAX_RESPONSE_BODY:
-                raise ProxyProtocolError("response body too large")
-            payload = await asyncio.wait_for(
-                reader.readexactly(length), timeout=timeout
-            ) if length else b""
-            writer.close()
-            return status, response_headers, payload, None
-    except asyncio.IncompleteReadError as exc:
-        writer.close()
-        raise ConnectionError(
-            f"replica {host}:{port} closed mid-response"
-        ) from exc
-    except BaseException:
-        writer.close()
-        raise
-
-    async def chunks() -> AsyncIterator[bytes]:
-        try:
-            while True:
-                chunk = await reader.read(64 * 1024)
-                if not chunk:
-                    return
-                yield chunk
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
-
-    return status, response_headers, b"", chunks()
+    return await asyncio.wait_for(
+        _open(host, port, "GET", path, b"", headers), timeout=timeout
+    )

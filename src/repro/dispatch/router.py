@@ -17,7 +17,9 @@ One asyncio process that fronts N ``repro serve`` replicas:
 * Replica failures fail over: connection refused, a 5xx, and a
   drain-in-progress 503 all retry the next distinct ring position with
   the failed replica excluded; transport-level failures also eject the
-  replica from the ring until a health probe readmits it.
+  replica from the ring until a health probe readmits it.  ``POST
+  /schedule`` and ``GET /schedule/stream`` share this one walk
+  (``DispatchRouter._walk``).
 * A background health loop probes every replica's ``/healthz`` and
   flips ring membership accordingly.
 * ``GET /metrics`` aggregates: the router's own counters, each
@@ -35,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AsyncIterator, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.engine.job import JobSpec
 from repro.engine.keys import CacheKeyResolver
@@ -53,6 +55,7 @@ from repro.serve.http import (
     Body,
     HttpServerCore,
     StreamBody,
+    not_found_payload,
     parse_query,
 )
 from repro.serve.stream import sse_frame
@@ -86,12 +89,20 @@ _STREAM_TAIL_BYTES = 512
 #: SSE event names that legitimately end an improvement stream.
 _TERMINAL_EVENTS = (b"optimal", b"exhausted", b"error")
 
-#: One routed answer: status, extra headers, raw body bytes to relay.
-Routed = Tuple[int, Dict[str, str], bytes]
+#: One answer to a client: status, body, extra headers.
+Answer = Tuple[int, Body, Dict[str, str]]
 
 
 def _stream_terminal(tail: bytes) -> bool:
-    """Did ``tail`` end with a complete terminal SSE frame?"""
+    r"""Did ``tail`` end with a complete terminal SSE frame?
+
+    >>> _stream_terminal(b'event: optimal\ndata: {"length":8}\n\n')
+    True
+    >>> _stream_terminal(b'event: incumbent\ndata: {"length":9}\n\n')
+    False
+    >>> _stream_terminal(b'event: optimal\ndata: {"len')  # torn frame
+    False
+    """
     if not tail.endswith(b"\n\n"):
         return False
     start = tail.rfind(b"event: ")
@@ -99,22 +110,6 @@ def _stream_terminal(tail: bytes) -> bool:
         return False
     name = tail[start + len(b"event: "):].split(b"\n", 1)[0].strip()
     return name in _TERMINAL_EVENTS
-
-
-def parse_replica(text: str) -> Tuple[str, int]:
-    """``HOST:PORT`` (or bare ``PORT`` for localhost) -> (host, port).
-
-    Replica addresses and peer addresses are the same notation — a
-    replica's ``--peer`` list is just the other replicas' addresses —
-    so this delegates to :func:`repro.store.peers.parse_address` and
-    exists as the dispatch-flavored name for it.
-
-    >>> parse_replica("10.0.0.5:8791")
-    ('10.0.0.5', 8791)
-    >>> parse_replica("8791")
-    ('127.0.0.1', 8791)
-    """
-    return parse_address(text)
 
 
 class DispatchRouter(HttpServerCore):
@@ -152,7 +147,7 @@ class DispatchRouter(HttpServerCore):
             )
         self.replicas: Dict[str, Tuple[str, int]] = {}
         for text in replicas:
-            replica_host, replica_port = parse_replica(text)
+            replica_host, replica_port = parse_address(text)
             name = f"{replica_host}:{replica_port}"
             if name in self.replicas:
                 raise ReproError(f"duplicate replica address {name!r}")
@@ -355,7 +350,7 @@ class DispatchRouter(HttpServerCore):
         headers: Dict[str, str],
         body: bytes,
         query: str = "",
-    ) -> Tuple[int, Body, Dict[str, str]]:
+    ) -> Answer:
         self.metrics.requests += 1
         if path == "/schedule/stream":
             if method != "GET":
@@ -392,44 +387,54 @@ class DispatchRouter(HttpServerCore):
                 return 405, protocol.error_payload("use GET /metrics"), {}
             return 200, await self.cluster_metrics(), {}
         self.metrics.errors += 1
-        return 404, protocol.error_payload(
-            f"no such endpoint {path!r}; try POST /schedule, "
-            "GET /healthz, GET /metrics"
-        ), {}
+        return 404, not_found_payload(path), {}
 
-    def _deadline_for(self, headers: Dict[str, str]) -> Deadline:
-        """The request's deadline budget (header wins over the flag)."""
-        return Deadline.from_headers(
-            headers, default_ms=self.deadline_ms
+    def _gate(
+        self, request_headers: Dict[str, str]
+    ) -> Tuple[Deadline, Optional[Answer]]:
+        """The edge gate both routed endpoints pass before any hop.
+
+        Returns the request's deadline budget (header wins over the
+        flag) and, when the request must not be routed, its answer:
+        503 while draining, 504 once the budget is already spent.
+        """
+        deadline = Deadline.from_headers(
+            request_headers, default_ms=self.deadline_ms
         )
+        if self._draining:
+            self.metrics.errors += 1
+            return deadline, (
+                503,
+                protocol.error_payload(
+                    "dispatcher is draining; retry shortly"
+                ),
+                {"Retry-After": "1"},
+            )
+        if deadline.expired():
+            self.metrics.errors += 1
+            return deadline, self._deadline_expired()
+        return deadline, None
 
-    def _deadline_expired(self) -> Routed:
+    def _deadline_expired(self) -> Answer:
         self.metrics.deadline_exhausted += 1
         self.metrics.failed += 1
-        return 504, {}, protocol.encode_json(
+        return 504, protocol.encode_json(
             protocol.error_payload(
                 "deadline budget exhausted before a replica answered"
             )
-        )
+        ), {}
 
     async def _handle_schedule(
         self, body: bytes, request_headers: Dict[str, str]
-    ) -> Tuple[int, Body, Dict[str, str]]:
+    ) -> Answer:
         try:
             request = protocol.parse_request(body)
         except protocol.ProtocolError as exc:
             self.metrics.errors += 1
             return exc.status, protocol.error_payload(str(exc)), {}
-        if self._draining:
-            self.metrics.errors += 1
-            return 503, protocol.error_payload(
-                "dispatcher is draining; retry shortly"
-            ), {"Retry-After": "1"}
-        deadline = self._deadline_for(request_headers)
-        if deadline.expired():
-            self.metrics.errors += 1
-            status, extra, payload = self._deadline_expired()
-            return status, payload, extra
+        deadline, refusal = self._gate(request_headers)
+        if refusal is not None:
+            return refusal
 
         self.metrics.schedule_requests += 1
 
@@ -441,17 +446,23 @@ class DispatchRouter(HttpServerCore):
         future = self._inflight.get(request)
         if future is not None:
             self.metrics.coalesced += 1
-            status, extra, payload = await asyncio.shield(future)
-            return status, payload, extra
+            return await asyncio.shield(future)
 
         future = asyncio.get_running_loop().create_future()
         self._inflight[request] = future
         self.metrics.in_flight += 1
         started = time.monotonic()
         try:
-            routed = await self._route(request, body, deadline)
+            answer = await self._walk(
+                self._keys.key(request.spec),
+                "job",
+                deadline,
+                lambda host, port, headers, timeout: proxy.exchange(
+                    host, port, "POST", "/schedule", body, headers, timeout
+                ),
+            )
             if not future.done():
-                future.set_result(routed)
+                future.set_result(answer)
         except BaseException as exc:
             if not future.done():
                 future.set_exception(exc)
@@ -464,46 +475,87 @@ class DispatchRouter(HttpServerCore):
             self._inflight.pop(request, None)
             self.metrics.in_flight -= 1
             self.metrics.observe_latency(time.monotonic() - started)
-        status, extra, payload = routed
-        return status, payload, extra
+        return answer
 
-    async def _route(
-        self,
-        request: protocol.ScheduleRequest,
-        body: bytes,
-        deadline: Deadline,
-    ) -> Routed:
-        """Proxy one unique request along its ring preference walk."""
-        key = self._keys.key(request.spec)
-        candidates = self._candidates(key)
-        if not candidates:
-            self.metrics.failed += 1
-            return 503, {"Retry-After": "1"}, protocol.encode_json(
-                protocol.error_payload("no replicas configured")
+    async def _handle_stream(
+        self, query: str, request_headers: Dict[str, str]
+    ) -> Answer:
+        """Relay ``GET /schedule/stream`` to the replica owning its key.
+
+        Routing mirrors ``/schedule``: the canonical ``bnb-anytime``
+        cache key picks the ring position, so a stream request lands on
+        the replica whose store already holds (and will keep) that
+        graph's canonical entry.  Failover happens *before* the stream
+        starts — once a replica answers 200 its SSE bytes are relayed
+        verbatim; a mid-stream death surfaces to the client as a
+        terminal structured ``error`` event (see ``_relay_stream``).
+        """
+        params = parse_query(query)
+        graph = params.get("graph")
+        if not graph:
+            self.metrics.errors += 1
+            return 400, protocol.error_payload(
+                "query parameter 'graph' is required"
+            ), {}
+        try:
+            # The canonical improver key: budget parameters shape the
+            # run, not the entry, so they don't influence routing.
+            spec = JobSpec.make(
+                graph,
+                params.get("resources", protocol.DEFAULT_RESOURCES),
+                "bnb-anytime",
             )
+            key = self._keys.key(spec)
+        except ReproError as exc:
+            self.metrics.errors += 1
+            return 400, protocol.error_payload(str(exc)), {}
+        deadline, refusal = self._gate(request_headers)
+        if refusal is not None:
+            return refusal
 
+        target = f"/schedule/stream?{query}" if query else "/schedule/stream"
+
+        async def attempt(host, port, headers, timeout):
+            status, got, payload, chunks = await proxy.open_stream(
+                host, port, target, headers, timeout
+            )
+            return status, got, payload if chunks is None else chunks
+
+        return await self._walk(key, "stream", deadline, attempt)
+
+    async def _walk(
+        self, key: str, noun: str, deadline: Deadline, attempt: Callable
+    ) -> Answer:
+        """Try ``attempt`` along ``key``'s ring preference until a
+        replica answers below 500.
+
+        The one failover walk behind both routed endpoints: retry
+        budget and backoff, deadline checks, ejection, breakers,
+        failover counters and routing headers all live here.
+        ``attempt(host, port, forwarded headers, timeout)`` returns
+        ``(status, lowercase headers, body)``, where the body is bytes
+        or, for a close-delimited stream, a live chunk iterator.
+        ``noun`` names the request in the all-failed error.
+        """
         failures: List[str] = []
-        for attempt, name in enumerate(candidates):
-            replica_host, replica_port = self.replicas[name]
-            if attempt > 0:
-                if not self.retry.allows(attempt + 1):
+        for attempt_no, name in enumerate(self._candidates(key), 1):
+            if attempt_no > 1:
+                if not self.retry.allows(attempt_no):
                     failures.append("retry budget exhausted")
                     break
                 self.metrics.retried += 1
                 await asyncio.sleep(
-                    deadline.clamp(self.retry.backoff_s(attempt))
+                    deadline.clamp(self.retry.backoff_s(attempt_no - 1))
                 )
             if deadline.expired():
                 return self._deadline_expired()
+            replica_host, replica_port = self.replicas[name]
             try:
-                status, headers, payload = await proxy.exchange(
+                status, headers, body = await attempt(
                     replica_host,
                     replica_port,
-                    "POST",
-                    "/schedule",
-                    body=body,
-                    headers=deadline.headers(),
-                    timeout=deadline.clamp(self.request_timeout_s),
+                    deadline.headers(),
+                    deadline.clamp(self.request_timeout_s),
                 )
             except (
                 OSError,
@@ -513,11 +565,7 @@ class DispatchRouter(HttpServerCore):
                 # Transport-level failure: the replica is gone or
                 # wedged.  Eject it now instead of waiting a probe
                 # period, and walk on.
-                self.metrics.record_failure(name)
-                self._record_breaker(
-                    name, self._breakers[name].record_failure
-                )
-                self._eject(name)
+                self._replica_failed(name, eject=True)
                 failures.append(
                     f"{name}: {str(exc) or type(exc).__name__}"
                 )
@@ -527,23 +575,21 @@ class DispatchRouter(HttpServerCore):
             if status >= 500:
                 # 5xx and drain-in-progress 503s fail over; the next
                 # ring position computes the same deterministic answer.
-                self.metrics.record_failure(name)
-                self._record_breaker(
-                    name, self._breakers[name].record_failure
-                )
-                if status == 503:
-                    self._eject(name)  # draining; probes readmit later
+                # Draining replicas leave the ring; probes readmit them.
+                if not isinstance(body, bytes):
+                    await body.aclose()
+                self._replica_failed(name, eject=status == 503)
                 failures.append(f"{name}: HTTP {status}")
                 continue
             self.metrics.record_routed(name)
             self._record_breaker(
                 name, self._breakers[name].record_success
             )
-            if attempt > 0:
+            if attempt_no > 1:
                 self.metrics.failed_over += 1
             extra = {
                 "X-Repro-Replica": name,
-                "X-Repro-Attempts": str(attempt + 1),
+                "X-Repro-Attempts": str(attempt_no),
             }
             # Retry-After keeps a relayed 429's backoff contract
             # intact: through the router or direct, same behaviour.
@@ -554,16 +600,25 @@ class DispatchRouter(HttpServerCore):
             ):
                 if passthrough in headers:
                     extra[passthrough.title()] = headers[passthrough]
-            return status, extra, payload
+            if not isinstance(body, bytes):
+                body = StreamBody(self._relay_stream(body))
+            return status, body, extra
 
         self.metrics.failed += 1
-        return 502, {"Retry-After": "1"}, protocol.encode_json(
+        return 502, protocol.encode_json(
             protocol.error_payload(
-                "all replicas failed for this job: " + "; ".join(failures)
+                f"all replicas failed for this {noun}: "
+                + "; ".join(failures)
             )
-        )
+        ), {"Retry-After": "1"}
 
-    async def _relay_stream(self, chunks) -> "asyncio.AsyncIterator":
+    def _replica_failed(self, name: str, eject: bool) -> None:
+        self.metrics.record_failure(name)
+        self._record_breaker(name, self._breakers[name].record_failure)
+        if eject:
+            self._eject(name)
+
+    async def _relay_stream(self, chunks) -> AsyncIterator:
         """Relay replica SSE bytes verbatim, appending a terminal
         ``error`` event if the replica dies mid-stream.
 
@@ -595,128 +650,6 @@ class DispatchRouter(HttpServerCore):
                     ),
                 }
             ).encode("utf-8")
-
-    async def _handle_stream(
-        self, query: str, request_headers: Dict[str, str]
-    ) -> Tuple[int, Body, Dict[str, str]]:
-        """Relay ``GET /schedule/stream`` to the replica owning its key.
-
-        Routing mirrors ``/schedule``: the canonical ``bnb-anytime``
-        cache key picks the ring position, so a stream request lands on
-        the replica whose store already holds (and will keep) that
-        graph's canonical entry.  Failover happens *before* the stream
-        starts — once a replica answers 200 its SSE bytes are relayed
-        verbatim; a mid-stream death surfaces to the client as a
-        terminal structured ``error`` event (see ``_relay_stream``).
-        """
-        graph = parse_query(query).get("graph")
-        if not graph:
-            self.metrics.errors += 1
-            return 400, protocol.error_payload(
-                "query parameter 'graph' is required"
-            ), {}
-        resources = parse_query(query).get(
-            "resources", protocol.DEFAULT_RESOURCES
-        )
-        try:
-            # The canonical improver key: budget parameters shape the
-            # run, not the entry, so they don't influence routing.
-            spec = JobSpec.make(graph, resources, "bnb-anytime")
-            key = self._keys.key(spec)
-        except ReproError as exc:
-            self.metrics.errors += 1
-            return 400, protocol.error_payload(str(exc)), {}
-        if self._draining:
-            self.metrics.errors += 1
-            return 503, protocol.error_payload(
-                "dispatcher is draining; retry shortly"
-            ), {"Retry-After": "1"}
-        deadline = self._deadline_for(request_headers)
-        if deadline.expired():
-            self.metrics.errors += 1
-            status, extra, payload = self._deadline_expired()
-            return status, payload, extra
-
-        candidates = self._candidates(key)
-        if not candidates:
-            self.metrics.failed += 1
-            return 503, {"error": "no replicas configured"}, {
-                "Retry-After": "1"
-            }
-
-        target = f"/schedule/stream?{query}" if query else "/schedule/stream"
-        failures: List[str] = []
-        for attempt, name in enumerate(candidates):
-            replica_host, replica_port = self.replicas[name]
-            if attempt > 0:
-                if not self.retry.allows(attempt + 1):
-                    failures.append("retry budget exhausted")
-                    break
-                self.metrics.retried += 1
-                await asyncio.sleep(
-                    deadline.clamp(self.retry.backoff_s(attempt))
-                )
-            if deadline.expired():
-                status, extra, payload = self._deadline_expired()
-                return status, payload, extra
-            try:
-                status, headers, payload, chunks = await proxy.open_stream(
-                    replica_host,
-                    replica_port,
-                    target,
-                    timeout=deadline.clamp(self.request_timeout_s),
-                )
-            except (
-                OSError,
-                asyncio.TimeoutError,
-                proxy.ProxyProtocolError,
-            ) as exc:
-                self.metrics.record_failure(name)
-                self._record_breaker(
-                    name, self._breakers[name].record_failure
-                )
-                self._eject(name)
-                failures.append(
-                    f"{name}: {str(exc) or type(exc).__name__}"
-                )
-                continue
-            if status >= 500:
-                if chunks is not None:
-                    await chunks.aclose()
-                self.metrics.record_failure(name)
-                self._record_breaker(
-                    name, self._breakers[name].record_failure
-                )
-                if status == 503:
-                    self._eject(name)
-                failures.append(f"{name}: HTTP {status}")
-                continue
-            self.metrics.record_routed(name)
-            self._record_breaker(
-                name, self._breakers[name].record_success
-            )
-            if attempt > 0:
-                self.metrics.failed_over += 1
-            extra = {
-                "X-Repro-Replica": name,
-                "X-Repro-Attempts": str(attempt + 1),
-            }
-            for passthrough in ("x-repro-key", "retry-after"):
-                if passthrough in headers:
-                    extra[passthrough.title()] = headers[passthrough]
-            if chunks is None:
-                # A pre-stream refusal (400, 429, ...): relay the JSON
-                # body verbatim, exactly like the /schedule path.
-                return status, payload, extra
-            return status, StreamBody(self._relay_stream(chunks)), extra
-
-        self.metrics.failed += 1
-        return 502, {"Retry-After": "1"}, protocol.encode_json(
-            protocol.error_payload(
-                "all replicas failed for this stream: "
-                + "; ".join(failures)
-            )
-        )
 
     # ------------------------------------------------------------------
     # Aggregated metrics.

@@ -28,7 +28,10 @@ from repro.scheduling.list_scheduler import ListPriority, list_schedule
 from repro.scheduling.resources import FuType, ResourceSet
 
 # A search state: ops already started (with start times) plus per-unit
-# busy-until times, advanced step by step.
+# busy-until times, advanced step by step.  Memoised as (started op,
+# reach past the current step) pairs plus (unit type rank, residual
+# busy steps) pairs.
+_MemoKey = Tuple[FrozenSet[Tuple[str, int]], Tuple[Tuple[int, int], ...]]
 
 
 def exact_schedule(
@@ -69,8 +72,16 @@ def exact_schedule(
                 work_per_type.get(fu_type, 0) + max(1, dfg.delay(n))
             )
 
+    out_weight = {
+        n: max((e.weight for e in dfg.out_edges(n)), default=0)
+        for n in order
+    }
+    type_rank = {
+        fu_type: rank for rank, fu_type in enumerate(resources.fu_types)
+    }
+
     explored = 0
-    seen: Dict[Tuple[FrozenSet[str], Tuple[int, ...]], int] = {}
+    seen: Dict[_MemoKey, int] = {}
 
     def remaining_bound(
         unstarted: List[str], finish_of: Dict[str, int], step: int
@@ -120,9 +131,20 @@ def exact_schedule(
         if remaining_bound(unstarted, finish_of, step) >= best_length:
             return
 
+        # The memo key is relative to ``step``: which ops have started
+        # and how far each still reaches past ``step`` (its finish, or
+        # its finish plus an out-edge weight), floored where neither can
+        # constrain the future.  The same key at a later step is that
+        # state shifted in time, so it can never end sooner.
         key = (
-            frozenset(start_times.items()),
-            tuple(sorted(max(0, b - step) for b in busy.values())),
+            frozenset(
+                (n, max(f - step, -out_weight[n]))
+                for n, f in finish_of.items()
+            ),
+            tuple(sorted(
+                (type_rank[unit[0]], max(0, b - step))
+                for unit, b in busy.items()
+            )),
         )
         prev = seen.get(key)
         if prev is not None and prev <= step:

@@ -89,6 +89,14 @@ class StreamBody:
         self.content_type = content_type
 
 
+def not_found_payload(path: str) -> Dict:
+    """The 404 body both servers answer for a path they do not serve."""
+    return error_payload(
+        f"no such endpoint {path!r}; try POST /schedule, "
+        "GET /schedule/stream, GET /healthz, GET /metrics"
+    )
+
+
 def parse_query(query: str) -> Dict[str, str]:
     """Decode a raw query string into a flat dict (last wins).
 

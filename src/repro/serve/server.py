@@ -76,6 +76,7 @@ from repro.serve.http import (
     Body,
     HttpServerCore,
     StreamBody,
+    not_found_payload,
     parse_query,
 )
 from repro.serve.metrics import ServiceMetrics
@@ -249,10 +250,7 @@ class ScheduleServer(HttpServerCore):
         if path.startswith("/cache/"):
             return await self._handle_cache(method, path, body)
         self.metrics.errors += 1
-        return 404, protocol.error_payload(
-            f"no such endpoint {path!r}; try POST /schedule, "
-            "GET /healthz, GET /metrics"
-        ), {}
+        return 404, not_found_payload(path), {}
 
     def metrics_payload(self) -> Dict:
         """The exact ``/metrics`` document for this replica."""

@@ -11,11 +11,13 @@ import asyncio
 import http.client
 import json
 import threading
+from urllib.parse import quote
 
 import pytest
 
 from repro.dispatch.router import DispatchRouter, _stream_terminal
 from repro.dispatch.testing import ReplicaSet
+from repro.engine.job import JobSpec
 from repro.graphs.random_dags import random_layered_dag
 from repro.ir.serialize import dfg_to_dict
 from repro.resilience import DEADLINE_HEADER, RetryPolicy
@@ -363,3 +365,80 @@ class TestBreakers:
                 "opened",
                 "closed",
             }
+
+
+def get_stream(port, query, headers=None):
+    """``GET /schedule/stream?<query>`` -> (status, lowercase headers,
+    body read to the end)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request(
+            "GET", f"/schedule/stream?{query}", headers=headers or {}
+        )
+        response = conn.getresponse()
+        got = {name.lower(): value for name, value in response.getheaders()}
+        return response.status, got, response.read()
+    finally:
+        conn.close()
+
+
+class TestStreamWalk:
+    """``/schedule/stream`` walks the ring like ``/schedule`` does:
+    failover, retry budget and deadline budget."""
+
+    def test_stream_fails_over_past_a_dead_owner(
+        self, replicas, router_factory
+    ):
+        router, _, _ = router_factory(
+            [DEAD] + replicas.addresses(),
+            retry=RetryPolicy(max_attempts=0, base_s=0.001),
+        )
+        # A registry graph whose canonical improver key the dead
+        # replica owns, so the stream's first attempt must fail.
+        owned = [
+            (graph, resources)
+            for graph in ("FIG1", "HAL", "IIR3", "AR", "FIR", "EF")
+            for resources in ("2+/-,2*", "1+/-,1*", "2+/-,1*", "1+/-,2*")
+            if router.ring.preference(
+                router._keys.key(
+                    JobSpec.make(graph, resources, "bnb-anytime")
+                )
+            )[0]
+            == DEAD
+        ]
+        assert owned, "no registry graph is owned by the dead replica"
+        graph, resources = owned[0]
+        status, headers, body = get_stream(
+            router.port,
+            f"graph={graph}&resources={quote(resources)}&nodes=2000",
+        )
+        assert status == 200
+        assert headers["x-repro-attempts"] == "2"
+        assert headers["x-repro-replica"] in replicas.addresses()
+        assert _stream_terminal(body), body[-200:]
+        assert router.metrics.retried == 1
+        assert router.metrics.failed_over == 1
+        assert router.metrics.stream_broken == 0
+
+    def test_exhausted_budget_reports_502(self, router_factory):
+        router, _, _ = router_factory(
+            [DEAD, "127.0.0.1:19"],
+            retry=RetryPolicy(max_attempts=1, base_s=0.001),
+        )
+        status, _, body = get_stream(router.port, "graph=HAL")
+        assert status == 502
+        error = json.loads(body)["error"]
+        assert "all replicas failed for this stream" in error
+        assert "retry budget exhausted" in error
+        assert router.metrics.retried == 0
+
+    def test_header_deadline_exhausts_as_504(
+        self, replicas, router_factory
+    ):
+        router, _, _ = router_factory(replicas.addresses())
+        status, _, body = get_stream(
+            router.port, "graph=HAL", {DEADLINE_HEADER: "0"}
+        )
+        assert status == 504
+        assert "deadline" in json.loads(body)["error"]
+        assert router.metrics.deadline_exhausted == 1

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dispatch.ring import DEFAULT_VNODES, HashRing
-from repro.dispatch.router import parse_replica
 from repro.errors import ReproError
+from repro.store.peers import parse_address
 
 MEMBERS = ["10.0.0.1:8081", "10.0.0.2:8081", "10.0.0.3:8081"]
 
@@ -117,14 +117,14 @@ class TestRingProperties:
 
 class TestParseReplica:
     def test_host_port(self):
-        assert parse_replica("10.1.2.3:8081") == ("10.1.2.3", 8081)
+        assert parse_address("10.1.2.3:8081") == ("10.1.2.3", 8081)
 
     def test_bare_port_defaults_to_localhost(self):
-        assert parse_replica("8081") == ("127.0.0.1", 8081)
+        assert parse_address("8081") == ("127.0.0.1", 8081)
 
     @pytest.mark.parametrize(
         "text", ["", "host:", "host:nope", "host:0", "host:70000", ":"]
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ReproError):
-            parse_replica(text)
+            parse_address(text)

@@ -176,6 +176,19 @@ class TestEdgeValidation:
         assert client.request("POST", "/healthz").status == 405
         assert client.request("POST", "/metrics").status == 405
 
+    def test_unknown_endpoint_body_matches_a_replica(
+        self, replicas, router_factory
+    ):
+        _, _, client = router_factory(replicas.addresses())
+        routed = client.request("GET", "/nope")
+        direct = replicas.client(0).request("GET", "/nope")
+        assert routed.status == direct.status == 404
+        assert routed.body == direct.body
+        assert routed.json()["error"] == (
+            "no such endpoint '/nope'; try POST /schedule, "
+            "GET /schedule/stream, GET /healthz, GET /metrics"
+        )
+
 
 class TestStreamRelay:
     def test_stream_relays_verbatim_through_router(
@@ -418,8 +431,10 @@ class TestDispatchCli:
                 stderr=subprocess.STDOUT,
                 text=True,
             )
+            captured = ""
             try:
                 line = process.stdout.readline()
+                captured = line
                 assert "listening on" in line, line
                 port = int(
                     line.split("http://", 1)[1].split()[0].rsplit(
@@ -434,8 +449,18 @@ class TestDispatchCli:
                 assert metrics["router"]["routed"] == 1
                 process.send_signal(signal.SIGTERM)
                 out, _ = process.communicate(timeout=30)
+                captured += out
                 assert process.returncode == 0, out
                 assert "shutdown clean" in out
+            except Exception as exc:
+                # Keep the router's own account of a failure: kill it,
+                # collect what it printed, and put that in the message.
+                process.kill()
+                if not process.stdout.closed:
+                    captured += process.communicate(timeout=10)[0]
+                raise AssertionError(
+                    f"{exc!r}\nrouter output:\n{captured}"
+                ) from exc
             finally:
                 if process.poll() is None:
                     process.kill()
