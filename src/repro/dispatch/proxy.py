@@ -122,7 +122,9 @@ async def _open(
     headers: Optional[Dict[str, str]],
 ) -> StreamOpen:
     """Connect, write one request, and read the response up to its body."""
-    reader, writer = await asyncio.open_connection(host, port)
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=MAX_RESPONSE_HEAD
+    )
     try:
         lines = [
             f"{method} {path} HTTP/1.1",
@@ -150,6 +152,10 @@ async def _open(
         raise ConnectionError(
             f"replica {host}:{port} closed mid-response"
         ) from exc
+    except asyncio.LimitOverrunError:
+        # No head end within the reader's limit (MAX_RESPONSE_HEAD).
+        writer.close()
+        raise ProxyProtocolError("response head too large") from None
     except BaseException:
         writer.close()
         raise

@@ -2,8 +2,9 @@
 
 One asyncio process that fronts N ``repro serve`` replicas:
 
-* ``POST /schedule`` bodies are validated with the exact same
-  :func:`repro.serve.protocol.parse_request` the replicas use (bad
+* ``POST /schedule`` bodies and ``GET /schedule/stream`` queries are
+  validated with the exact same :func:`repro.serve.protocol.parse_request`
+  / :func:`~repro.serve.protocol.parse_stream` the replicas use (bad
   requests bounce at the edge, before any network hop), the engine
   cache key is computed via :class:`repro.engine.keys.CacheKeyResolver`,
   and the request is proxied to the replica that owns that key on a
@@ -39,7 +40,6 @@ import hashlib
 import time
 from typing import AsyncIterator, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.engine.job import JobSpec
 from repro.engine.keys import CacheKeyResolver
 from repro.errors import ReproError, check_duration
 from repro.metrics import cluster_sums
@@ -56,7 +56,6 @@ from repro.serve.http import (
     HttpServerCore,
     StreamBody,
     not_found_payload,
-    parse_query,
 )
 from repro.serve.stream import sse_frame
 from repro.dispatch import proxy
@@ -490,30 +489,19 @@ class DispatchRouter(HttpServerCore):
         verbatim; a mid-stream death surfaces to the client as a
         terminal structured ``error`` event (see ``_relay_stream``).
         """
-        params = parse_query(query)
-        graph = params.get("graph")
-        if not graph:
-            self.metrics.errors += 1
-            return 400, protocol.error_payload(
-                "query parameter 'graph' is required"
-            ), {}
         try:
-            # The canonical improver key: budget parameters shape the
-            # run, not the entry, so they don't influence routing.
-            spec = JobSpec.make(
-                graph,
-                params.get("resources", protocol.DEFAULT_RESOURCES),
-                "bnb-anytime",
-            )
-            key = self._keys.key(spec)
-        except ReproError as exc:
+            spec = protocol.parse_stream(query)
+        except protocol.ProtocolError as exc:
             self.metrics.errors += 1
-            return 400, protocol.error_payload(str(exc)), {}
+            return exc.status, protocol.error_payload(str(exc)), {}
+        # The canonical improver key: the budget shapes the run, not
+        # the entry, so it does not influence routing.
+        key = self._keys.key(spec.canonical())
         deadline, refusal = self._gate(request_headers)
         if refusal is not None:
             return refusal
 
-        target = f"/schedule/stream?{query}" if query else "/schedule/stream"
+        target = f"/schedule/stream?{query}"
 
         async def attempt(host, port, headers, timeout):
             status, got, payload, chunks = await proxy.open_stream(

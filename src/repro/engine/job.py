@@ -32,11 +32,13 @@ from repro.graphs.random_dags import (
 )
 from repro.engine.scenario import (
     Scenario,
+    constraint_pairs,
     normalize_scenario,
     scenario_key_text,
+    sorted_pairs,
 )
 from repro.graphs.registry import get_graph
-from repro.ir.dfg import DataFlowGraph
+from repro.ir.dfg import DataFlowGraph, check_steps
 from repro.ir.serialize import dumps_dfg, loads_dfg
 from repro.scheduling.resources import ResourceSet
 
@@ -138,9 +140,11 @@ def _normalize_windows(windows, algorithm: str) -> Windows:
     """Validate and canonicalize per-op window pins for a spec.
 
     Accepts a ``{op: (lo, hi)}`` mapping or an iterable of pairs and
-    returns the sorted, hashable tuple form.  Raises
-    :class:`SchedulingError` on malformed bounds, duplicate ops, or an
-    algorithm without the ``windows`` capability.
+    returns the sorted, hashable tuple form.  Bounds are ints in
+    ``[0, MAX_STEPS]`` (:func:`~repro.ir.dfg.check_steps`) with
+    ``lo <= hi``.  Raises :class:`SchedulingError` on any malformed
+    shape or bound, duplicate ops, or an algorithm without the
+    ``windows`` capability.
     """
     if not windows:
         return ()
@@ -150,9 +154,10 @@ def _normalize_windows(windows, algorithm: str) -> Windows:
         "algorithm {algorithm!r} does not support window constraints; "
         "window-capable algorithms: {known}",
     )
-    items = windows.items() if isinstance(windows, dict) else windows
     normalized = []
-    for op, bounds in items:
+    for op, bounds in constraint_pairs(
+        windows, "windows must map op ids to (lo, hi) pairs"
+    ):
         try:
             lo, hi = bounds
         except (TypeError, ValueError):
@@ -160,27 +165,15 @@ def _normalize_windows(windows, algorithm: str) -> Windows:
                 f"window for {op!r} must be a (lo, hi) pair, "
                 f"got {bounds!r}"
             ) from None
-        if (
-            isinstance(lo, bool)
-            or isinstance(hi, bool)
-            or not isinstance(lo, int)
-            or not isinstance(hi, int)
-        ):
+        check_steps(f"window bound for {op!r}", lo, SchedulingError)
+        check_steps(f"window bound for {op!r}", hi, SchedulingError)
+        if lo > hi:
             raise SchedulingError(
-                f"window bounds for {op!r} must be integers, "
-                f"got {bounds!r}"
-            )
-        if lo < 0 or lo > hi:
-            raise SchedulingError(
-                f"window for {op!r} must satisfy 0 <= lo <= hi, "
+                f"window for {op!r} must satisfy lo <= hi, "
                 f"got ({lo}, {hi})"
             )
         normalized.append((str(op), (lo, hi)))
-    normalized.sort()
-    for prev, cur in zip(normalized, normalized[1:]):
-        if prev[0] == cur[0]:
-            raise SchedulingError(f"duplicate window for op {cur[0]!r}")
-    return tuple(normalized)
+    return sorted_pairs(normalized, "window for op")
 
 
 #: Budget in its canonical hashable form: sorted ``(field, value)``
@@ -195,9 +188,9 @@ def _normalize_budget(budget, algorithm: str) -> Budget:
 
     Accepts a ``{"nodes": N, "deadline_ms": M}`` mapping (either key
     optional) or an iterable of pairs and returns the sorted, hashable
-    tuple form.  Raises :class:`SchedulingError` on unknown fields,
-    non-positive values, duplicates, or an algorithm without the
-    ``budget`` capability.
+    tuple form.  Raises :class:`SchedulingError` on a malformed shape,
+    unknown fields, non-positive values, duplicates, or an algorithm
+    without the ``budget`` capability.
     """
     if not budget:
         return ()
@@ -207,9 +200,10 @@ def _normalize_budget(budget, algorithm: str) -> Budget:
         "algorithm {algorithm!r} does not support a search budget; "
         "budget-capable algorithms: {known}",
     )
-    items = budget.items() if isinstance(budget, dict) else budget
     normalized = []
-    for field, value in items:
+    for field, value in constraint_pairs(
+        budget, "budget must map 'nodes'/'deadline_ms' to integers"
+    ):
         field = str(field)
         if field not in _BUDGET_FIELDS:
             known = ", ".join(_BUDGET_FIELDS)
@@ -226,13 +220,21 @@ def _normalize_budget(budget, algorithm: str) -> Budget:
                 f"budget field {field!r} must be positive, got {value}"
             )
         normalized.append((field, value))
-    normalized.sort()
-    for prev, cur in zip(normalized, normalized[1:]):
-        if prev[0] == cur[0]:
+    return sorted_pairs(normalized, "budget field")
+
+
+def _check_inline_ops(dfg: DataFlowGraph, spec: "JobSpec") -> None:
+    """Refuse window ops, io pins and reliability ops that an inline
+    graph lacks: the graph is in hand, so there is nothing to defer."""
+    scenario = dict(spec.scenario)
+    refs = [("window", op) for op, _ in spec.windows]
+    refs += [("io pin", op) for op, _ in scenario.get("pins", ())]
+    refs += [("reliability scenario", op) for op in scenario.get("ops", ())]
+    for what, op in refs:
+        if op not in dfg:
             raise SchedulingError(
-                f"duplicate budget field {cur[0]!r}"
+                f"{what} references unknown op {op!r} in the inline graph"
             )
-    return tuple(normalized)
 
 
 @dataclass(frozen=True)
@@ -280,8 +282,18 @@ class JobSpec:
         budget=None,
         scenario=None,
     ) -> "JobSpec":
-        if isinstance(graph, DataFlowGraph):
-            graph = GraphSpec.inline(graph)
+        """Validate and normalize every field of a job.
+
+        The one validator of what a job holds: resources, algorithm,
+        windows, budget and scenario.  Every malformed value raises a
+        :class:`~repro.errors.ReproError`.  An inline ``graph`` (a
+        :class:`DataFlowGraph`) is in hand, so window ops, io pins and
+        reliability ops it lacks are refused here too; registry and
+        random graphs defer that check to the executing engine.
+        """
+        dfg = graph if isinstance(graph, DataFlowGraph) else None
+        if dfg is not None:
+            graph = GraphSpec.inline(dfg)
         if not isinstance(graph, GraphSpec):
             graph = GraphSpec.registry(str(graph))
         if isinstance(resources, ResourceSet):
@@ -289,7 +301,7 @@ class JobSpec:
         else:
             notation = ResourceSet.parse(resources).notation()
         algorithm_id = canonical_algorithm(algorithm)
-        return cls(
+        spec = cls(
             graph=graph,
             resources=notation,
             algorithm=algorithm_id,
@@ -297,6 +309,9 @@ class JobSpec:
             budget=_normalize_budget(budget, algorithm_id),
             scenario=normalize_scenario(scenario, algorithm_id),
         )
+        if dfg is not None and (spec.windows or spec.scenario):
+            _check_inline_ops(dfg, spec)
+        return spec
 
     def resource_set(self) -> ResourceSet:
         return ResourceSet.parse(self.resources)

@@ -36,13 +36,18 @@ keys stay byte-identical (golden-tested).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from collections.abc import Mapping
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.algorithms import require_capability
 from repro.errors import SchedulingError
-from repro.ir.dfg import DataFlowGraph
+from repro.ir.dfg import DataFlowGraph, check_steps
 from repro.ir.reliability import apply_reliability
-from repro.scheduling.resources import ResourceSet, bank_assignment
+from repro.scheduling.resources import (
+    MAX_UNITS,
+    ResourceSet,
+    bank_assignment,
+)
 
 #: Scenario in its canonical hashable form: sorted ``(field, value)``
 #: pairs; nested collections (io pins, reliability ops) are sorted
@@ -57,6 +62,32 @@ _MODE_FIELDS = {
     "io": frozenset({"mode", "pins"}),
     "reliability": frozenset({"mode", "ops"}),
 }
+
+
+def constraint_pairs(value: Any, shape: str) -> List[Tuple[Any, Any]]:
+    """The ``(key, value)`` items of a mapping or an iterable of pairs.
+
+    Any other shape — a string, a scalar, an item that is not a pair —
+    raises :class:`SchedulingError` reading ``"<shape>, got <value>"``.
+    """
+    if isinstance(value, Mapping):
+        return list(value.items())
+    if not isinstance(value, (str, bytes)):
+        try:
+            return [(key, item) for key, item in value]
+        except (TypeError, ValueError):
+            pass
+    raise SchedulingError(f"{shape}, got {value!r}")
+
+
+def sorted_pairs(pairs, what: str) -> Tuple[Tuple[str, Any], ...]:
+    """``pairs`` sorted by key; a repeated key raises
+    :class:`SchedulingError` naming ``what``."""
+    ordered = sorted(pairs)
+    for prev, cur in zip(ordered, ordered[1:]):
+        if prev[0] == cur[0]:
+            raise SchedulingError(f"duplicate {what} {cur[0]!r}")
+    return tuple(ordered)
 
 
 def _positive_int(value: Any, what: str) -> int:
@@ -76,22 +107,23 @@ def normalize_scenario(scenario, algorithm: str) -> Scenario:
 
     Accepts a ``{"mode": ..., ...}`` mapping or an iterable of pairs
     (the already-normalized tuple form round-trips) and returns the
-    sorted, hashable tuple form.  Raises :class:`SchedulingError` on
-    unknown modes/fields, malformed values, or an algorithm the mode
-    does not support — ``io`` needs the ``windows`` capability,
-    ``memory`` the ``banked_mem`` one (see
-    :data:`~repro.engine.algorithms.ALGORITHMS`); ``reliability`` is a
-    pure graph transform and rides any algorithm.
+    sorted, hashable tuple form; an empty one is no scenario.  Raises
+    :class:`SchedulingError` on any malformed shape or value, unknown
+    modes/fields, or an algorithm the mode does not support — ``io``
+    needs the ``windows`` capability, ``memory`` the ``banked_mem`` one
+    (see :data:`~repro.engine.algorithms.ALGORITHMS`); ``reliability``
+    is a pure graph transform and rides any algorithm.  Memory ports
+    are bounded by :data:`~repro.scheduling.resources.MAX_UNITS` and io
+    pins like window bounds (:func:`~repro.ir.dfg.check_steps`).
     """
     if not scenario:
         return ()
-    try:
-        data = dict(scenario)
-    except (TypeError, ValueError):
-        raise SchedulingError(
-            f"scenario must be a mapping with a 'mode' field, "
-            f"got {scenario!r}"
-        ) from None
+    data = {
+        str(field): value
+        for field, value in constraint_pairs(
+            scenario, "scenario must be a mapping with a 'mode' field"
+        )
+    }
     mode = data.get("mode")
     if mode not in SCENARIO_MODES:
         known = ", ".join(SCENARIO_MODES)
@@ -115,6 +147,11 @@ def normalize_scenario(scenario, algorithm: str) -> Scenario:
         )
         banks = _positive_int(data.get("banks"), "banks")
         ports = _positive_int(data.get("ports"), "ports")
+        if banks * ports > MAX_UNITS:
+            raise SchedulingError(
+                f"memory scenario needs banks*ports <= {MAX_UNITS}, "
+                f"got {banks}*{ports}"
+            )
         return (("banks", banks), ("mode", "memory"), ("ports", ports))
 
     if mode == "io":
@@ -125,37 +162,16 @@ def normalize_scenario(scenario, algorithm: str) -> Scenario:
             "constraints, which the io scenario lowers onto; "
             "window-capable algorithms: {known}",
         )
-        raw = data.get("pins")
-        try:
-            pin_items = list(
-                raw.items() if isinstance(raw, dict) else raw or ()
-            )
-        except TypeError:
-            raise SchedulingError(
-                f"scenario field 'pins' must map op ids to steps, "
-                f"got {raw!r}"
-            ) from None
-        if not pin_items:
-            raise SchedulingError("io scenario pinned no ops")
         pins = []
-        for op, step in pin_items:
-            if isinstance(step, bool) or not isinstance(step, int):
-                raise SchedulingError(
-                    f"io pin for {op!r} must be an integer step, "
-                    f"got {step!r}"
-                )
-            if step < 0:
-                raise SchedulingError(
-                    f"io pin for {op!r} must be >= 0, got {step}"
-                )
+        for op, step in constraint_pairs(
+            data.get("pins") or (),
+            "scenario field 'pins' must map op ids to steps",
+        ):
+            check_steps(f"io pin for {op!r}", step, SchedulingError)
             pins.append((str(op), step))
-        pins.sort()
-        for prev, cur in zip(pins, pins[1:]):
-            if prev[0] == cur[0]:
-                raise SchedulingError(
-                    f"duplicate io pin for op {cur[0]!r}"
-                )
-        return (("mode", "io"), ("pins", tuple(pins)))
+        if not pins:
+            raise SchedulingError("io scenario pinned no ops")
+        return (("mode", "io"), ("pins", sorted_pairs(pins, "io pin for op")))
 
     # mode == "reliability"
     raw = data.get("ops")

@@ -14,7 +14,7 @@ import argparse
 import json
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.engine.algorithms import FDS_SLACK, capable
 from repro.engine.batch import DEFAULT_WORKERS
@@ -248,21 +248,3 @@ def cmd_hier(args: Sequence[str]) -> int:
             raise ReproError(f"cannot write report {opts.json}: {exc}")
         print(f"wrote {opts.json}")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Direct entry point (``python -m repro.hier.cli ...``)."""
-    import sys
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        return cmd_hier(argv)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

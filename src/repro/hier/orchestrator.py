@@ -162,18 +162,11 @@ class ServeBackend:
         # in-process backends never need.
         from repro.serve.client import ServeClient
         from repro.resilience import RetryPolicy
+        from repro.store.peers import parse_address
 
-        host, _, port_text = str(target).rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise SchedulingError(
-                f"serve target must be HOST:PORT or PORT, got {target!r}"
-            ) from None
-        self.client = ServeClient(
-            host=host or "127.0.0.1", port=port, timeout=timeout
-        )
-        self.target = f"{host or '127.0.0.1'}:{port}"
+        host, port = parse_address(str(target))
+        self.client = ServeClient(host=host, port=port, timeout=timeout)
+        self.target = f"{host}:{port}"
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.engine.batch import BatchEngine
 from repro.errors import ReproError
@@ -158,21 +158,3 @@ def cmd_improve(args: Sequence[str]) -> int:
             raise ReproError(f"cannot write report {opts.json}: {exc}")
         print(f"wrote {opts.json}")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Direct entry point (``python -m repro.improve.cli ...``)."""
-    import sys
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        return cmd_improve(argv)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

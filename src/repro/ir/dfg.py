@@ -35,15 +35,17 @@ from repro.ir.ops import DelayModel, OpKind
 MAX_STEPS = 1_000_000
 
 
-def check_steps(what: str, value) -> None:
-    """Reject a delay or weight that is not an int in ``[0, MAX_STEPS]``
-    (``bool`` is not an int here, nor is a float like ``1.0``)."""
+def check_steps(what: str, value, error=GraphError) -> None:
+    """Reject a step count that is not an int in ``[0, MAX_STEPS]``
+    (``bool`` is not an int here, nor is a float like ``1.0``).
+
+    Delays and weights raise :class:`GraphError`; job constraints
+    (window bounds, io pins) pass their own ``error`` class.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
     if not 0 <= value <= MAX_STEPS:
-        raise GraphError(
-            f"{what} must be in [0, {MAX_STEPS}], got {value}"
-        )
+        raise error(f"{what} must be in [0, {MAX_STEPS}], got {value}")
 
 
 @dataclass

@@ -47,6 +47,14 @@ from repro.ir.ops import OpKind
 #: names none: two ALUs and two multipliers.
 DEFAULT_RESOURCES = "2+/-,2*"
 
+#: Most units of one functional-unit type a resource set may hold.
+#: Real designs use single digits; the bound keeps a malformed request
+#: from making a scheduler build thousands of unit threads (HAL under
+#: ``threaded(meta2)`` takes 0.04 s at 256 ALUs + 256 MULs, 0.7 s at
+#: 1024 + 1024, and exhausts a 3 GB address space at 4096 + 4096).
+MAX_UNITS = 256
+
+
 @dataclass(frozen=True)
 class FuType:
     """A functional-unit type: a name, the op kinds it executes, and
@@ -179,7 +187,9 @@ class ResourceSet:
     rejected with :class:`ResourceError` everywhere (``parse``, the
     constructor, and :meth:`of` agree), so an "empty constraint" can
     never slip into a scheduler and mean accidentally-unlimited or
-    accidentally-zero hardware.
+    accidentally-zero hardware.  Every count is bounded by
+    :data:`MAX_UNITS` in the constructor, which ``parse``, ``of``,
+    ``with_added`` and ``with_banked_mem`` all pass through.
 
     >>> rs = ResourceSet.parse("2+/-,1*")
     >>> rs.count(ALU), rs.count(MUL)
@@ -192,9 +202,10 @@ class ResourceSet:
         for fu_type, count in counts.items():
             if not isinstance(fu_type, FuType):
                 raise ResourceError(f"expected FuType key, got {fu_type!r}")
-            if count < 0:
+            if not 0 <= count <= MAX_UNITS:
                 raise ResourceError(
-                    f"count for {fu_type.name} must be >= 0, got {count}"
+                    f"count for {fu_type.name} must be in "
+                    f"[0, {MAX_UNITS}], got {count}"
                 )
         self._counts: Dict[FuType, int] = {
             ft: c for ft, c in counts.items() if c > 0

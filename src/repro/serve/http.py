@@ -97,18 +97,6 @@ def not_found_payload(path: str) -> Dict:
     )
 
 
-def parse_query(query: str) -> Dict[str, str]:
-    """Decode a raw query string into a flat dict (last wins).
-
-    Minimal on purpose, like the rest of the dialect: ``+`` and
-    percent-escapes decode, repeated keys keep the last value, bare
-    keys map to ``""``.
-    """
-    from urllib.parse import parse_qsl
-
-    return dict(parse_qsl(query, keep_blank_values=True))
-
-
 class HttpServerCore:
     """Listener lifecycle + request/response plumbing for one service.
 
@@ -239,8 +227,8 @@ class HttpServerCore:
         """Answer one request; override in subclasses.
 
         ``query`` is the raw query string (no leading ``?``, empty
-        when absent); decode it with :func:`parse_query` when a route
-        takes parameters.
+        when absent); :func:`repro.serve.protocol.parse_stream` decodes
+        the one route that takes parameters.
         """
         raise NotImplementedError
 

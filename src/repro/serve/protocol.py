@@ -29,10 +29,19 @@ object::
                                        # exclusive with "scenario")
     }
 
-Validation is strict: unknown top-level keys, wrong field types,
-unknown benchmark/algorithm names, and malformed inline graphs all
-raise :class:`ProtocolError`, which the server turns into a 400 with
-the message in the body — never a 500.
+``GET /schedule/stream?graph=HAL[&resources=..][&nodes=..]
+[&deadline_ms=..]`` asks for a live ``bnb-anytime`` improvement run;
+:func:`parse_stream` turns its query into that job's spec.
+
+This module parses only the envelope: JSON, known fields, a required
+``graph``, the types of ``graph``/``resources``/``algorithm``, boolean
+flags, the four constraint fields being JSON objects, and ``scenario``
+excluding ``io_schedule``.  What sits inside a job — resources,
+algorithm, window bounds, budget, scenario, and the ops they name in
+an inline graph — is validated once, by
+:meth:`~repro.engine.job.JobSpec.make`.  Any refusal is a
+:class:`ProtocolError`, which the server turns into a 400 with the
+message in the body — never a 500.
 
 Response bodies are canonical JSON (sorted keys, tight separators)
 built from :meth:`~repro.engine.job.JobResult.public_dict`, which
@@ -48,12 +57,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Any, Dict
+from urllib.parse import parse_qsl
 
 from repro.engine.algorithms import DEFAULT_ALGORITHM
 from repro.engine.job import JobResult, JobSpec
 from repro.errors import ReproError
 from repro.graphs.registry import graph_names
-from repro.ir.dfg import DataFlowGraph
 from repro.ir.serialize import dfg_from_dict
 from repro.scheduling.resources import DEFAULT_RESOURCES
 
@@ -72,6 +81,12 @@ _REQUEST_FIELDS = frozenset(
         "io_schedule",
     }
 )
+
+#: The request fields that constrain a job: each must be a JSON object,
+#: whose contents JobSpec.make validates.
+_CONSTRAINT_FIELDS = ("windows", "budget", "scenario", "io_schedule")
+
+_STREAM_PARAMS = frozenset({"graph", "resources", "nodes", "deadline_ms"})
 
 
 class ProtocolError(ReproError):
@@ -117,95 +132,6 @@ def _parse_graph(value: Any):
         "field 'graph' must be a registry benchmark name or an inline "
         f"repro-dfg-v1 object, got {type(value).__name__}"
     )
-
-
-def _parse_windows(value: Any) -> Dict[str, tuple]:
-    """Validate the optional per-op window object strictly.
-
-    Shape errors here are the client's fault and must answer 400 —
-    semantic errors (unknown op for the graph, an algorithm without
-    window support) are caught by :class:`JobSpec` / the engine and
-    reported the same way.
-    """
-    if not isinstance(value, dict):
-        raise ProtocolError(
-            f"field 'windows' must be an object mapping op ids to "
-            f"[lo, hi] pairs, got {type(value).__name__}"
-        )
-    windows: Dict[str, tuple] = {}
-    for op, bounds in value.items():
-        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-            raise ProtocolError(
-                f"window for {op!r} must be a [lo, hi] pair, "
-                f"got {bounds!r}"
-            )
-        lo, hi = bounds
-        if (
-            isinstance(lo, bool)
-            or isinstance(hi, bool)
-            or not isinstance(lo, int)
-            or not isinstance(hi, int)
-        ):
-            raise ProtocolError(
-                f"window bounds for {op!r} must be integers, "
-                f"got {bounds!r}"
-            )
-        if lo < 0 or lo > hi:
-            raise ProtocolError(
-                f"window for {op!r} must satisfy 0 <= lo <= hi, "
-                f"got [{lo}, {hi}]"
-            )
-        windows[op] = (lo, hi)
-    return windows
-
-
-def _parse_scenario(value: Any) -> Dict[str, Any]:
-    """Validate the optional scenario object's *shape* strictly.
-
-    The protocol layer checks only what makes the object well-formed
-    as a request field: a JSON object with a string ``mode``.  Field
-    names, value types, and mode/algorithm compatibility are validated
-    by :func:`repro.engine.scenario.normalize_scenario` inside
-    :meth:`JobSpec.make` — its errors also answer 400, never 500.
-    """
-    if not isinstance(value, dict):
-        raise ProtocolError(
-            f"field 'scenario' must be an object with a 'mode' key, "
-            f"got {type(value).__name__}"
-        )
-    mode = value.get("mode")
-    if not isinstance(mode, str):
-        raise ProtocolError(
-            f"scenario 'mode' must be a string "
-            f"('memory', 'io', or 'reliability'), got {mode!r}"
-        )
-    return value
-
-
-def _parse_io_schedule(value: Any) -> Dict[str, Any]:
-    """Lower the ``io_schedule`` sugar into an ``io`` scenario.
-
-    ``{"op": step, ...}`` with non-negative integer steps; the
-    equivalent of ``{"scenario": {"mode": "io", "pins": ...}}``.
-    """
-    if not isinstance(value, dict):
-        raise ProtocolError(
-            f"field 'io_schedule' must be an object mapping op ids to "
-            f"integer steps, got {type(value).__name__}"
-        )
-    pins: Dict[str, int] = {}
-    for op, step in value.items():
-        if isinstance(step, bool) or not isinstance(step, int):
-            raise ProtocolError(
-                f"io_schedule step for {op!r} must be an integer, "
-                f"got {step!r}"
-            )
-        if step < 0:
-            raise ProtocolError(
-                f"io_schedule step for {op!r} must be >= 0, got {step}"
-            )
-        pins[op] = step
-    return {"mode": "io", "pins": pins}
 
 
 def _parse_flag(data: Dict[str, Any], field: str) -> bool:
@@ -256,69 +182,77 @@ def parse_request(body: bytes) -> ScheduleRequest:
         )
     artifacts = _parse_flag(data, "artifacts")
     gaps = _parse_flag(data, "gaps")
-    windows = None
-    if "windows" in data:
-        windows = _parse_windows(data["windows"])
-        if isinstance(graph, DataFlowGraph):
-            # Inline graphs are in hand; refuse dangling pins now.
-            # Registry jobs defer the membership check to the engine,
-            # which reports it as a structured per-job failure.
-            for op in windows:
-                if op not in graph:
-                    raise ProtocolError(
-                        f"window references unknown op {op!r} in the "
-                        f"inline graph"
-                    )
-    budget = None
-    if "budget" in data:
-        budget = data["budget"]
-        if not isinstance(budget, dict):
+    for field in _CONSTRAINT_FIELDS:
+        if field in data and not isinstance(data[field], dict):
             raise ProtocolError(
-                f"field 'budget' must be an object with 'nodes' and/or "
-                f"'deadline_ms', got {type(budget).__name__}"
+                f"field {field!r} must be a JSON object, got "
+                f"{type(data[field]).__name__}"
             )
-    scenario = None
     if "scenario" in data and "io_schedule" in data:
         raise ProtocolError(
             "fields 'scenario' and 'io_schedule' are mutually "
             "exclusive: 'io_schedule' is shorthand for an 'io' scenario"
         )
+    scenario = None
     if "scenario" in data:
-        scenario = _parse_scenario(data["scenario"])
+        # A present scenario names its mode: an empty object reaches
+        # JobSpec.make as mode null, not as "no scenario".
+        scenario = {"mode": None, **data["scenario"]}
     elif "io_schedule" in data:
-        scenario = _parse_io_schedule(data["io_schedule"])
-    if scenario is not None and isinstance(graph, DataFlowGraph):
-        # Same policy as windows: pins/targets into an inline graph
-        # are in hand, so dangling references are refused now instead
-        # of as a per-job structured failure.
-        pins = scenario.get("pins")
-        ops = scenario.get("ops")
-        referenced = list(pins) if isinstance(pins, dict) else []
-        referenced += list(ops) if isinstance(ops, (list, tuple)) else []
-        for op in referenced:
-            if isinstance(op, str) and op not in graph:
-                raise ProtocolError(
-                    f"scenario references unknown op {op!r} in the "
-                    f"inline graph"
-                )
+        scenario = {"mode": "io", "pins": data["io_schedule"]}
     try:
-        # JobSpec.make runs the resource, algorithm, window, budget,
-        # and scenario validation itself (ResourceSet.parse /
-        # canonical_algorithm / _normalize_windows /
-        # _normalize_budget / normalize_scenario); one pass, one
-        # place for the rules to live.
         spec = JobSpec.make(
             graph,
             resources,
             algorithm,
-            windows=windows,
-            budget=budget,
+            windows=data.get("windows"),
+            budget=data.get("budget"),
             scenario=scenario,
         )
     except ReproError as exc:
         raise ProtocolError(str(exc))
 
     return ScheduleRequest(spec=spec, artifacts=artifacts, gaps=gaps)
+
+
+def parse_stream(query: str) -> JobSpec:
+    """Validate a ``GET /schedule/stream`` query into its job.
+
+    The job is the graph's ``bnb-anytime`` spec carrying the query's
+    ``nodes``/``deadline_ms`` budget (none when both are absent or
+    empty); its :meth:`~repro.engine.job.JobSpec.canonical` spec names
+    the cache entry the run improves.  Raises :class:`ProtocolError`
+    (status 400) on any malformed query.
+    """
+    params = dict(parse_qsl(query, keep_blank_values=True))
+    unknown = sorted(set(params) - _STREAM_PARAMS)
+    if unknown:
+        raise ProtocolError(
+            f"unknown query parameter(s): {', '.join(unknown)}"
+        )
+    if not params.get("graph"):
+        raise ProtocolError("query parameter 'graph' is required")
+    graph = _parse_graph(params["graph"])
+    budget = {}
+    for field in ("nodes", "deadline_ms"):
+        raw = params.get(field)
+        if raw:
+            try:
+                budget[field] = int(raw)
+            except ValueError:
+                raise ProtocolError(
+                    f"query parameter {field!r} must be an integer, "
+                    f"got {raw!r}"
+                )
+    try:
+        return JobSpec.make(
+            graph,
+            params.get("resources", DEFAULT_RESOURCES),
+            "bnb-anytime",
+            budget=budget,
+        )
+    except ReproError as exc:
+        raise ProtocolError(str(exc))
 
 
 def response_payload(

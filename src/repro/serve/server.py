@@ -77,7 +77,6 @@ from repro.serve.http import (
     HttpServerCore,
     StreamBody,
     not_found_payload,
-    parse_query,
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.stream import DEFAULT_STREAM_NODES, ImproveTask, sse_frame
@@ -362,25 +361,6 @@ class ScheduleServer(HttpServerCore):
     # ------------------------------------------------------------------
     # Live improvement streams.
 
-    @staticmethod
-    def _stream_int(params: Dict[str, str], field: str) -> Optional[int]:
-        """A positive integer query parameter, or None when absent."""
-        raw = params.get(field)
-        if raw is None or raw == "":
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            raise protocol.ProtocolError(
-                f"query parameter {field!r} must be an integer, "
-                f"got {raw!r}"
-            )
-        if value <= 0:
-            raise protocol.ProtocolError(
-                f"query parameter {field!r} must be positive, got {value}"
-            )
-        return value
-
     async def _handle_stream(
         self, query: str
     ) -> Tuple[int, Body, Dict[str, str]]:
@@ -392,29 +372,14 @@ class ScheduleServer(HttpServerCore):
         order invisible).  The response is a close-delimited SSE
         stream ending in exactly one terminal event.
         """
-        params = parse_query(query)
         try:
-            unknown = sorted(
-                set(params) - {"graph", "resources", "nodes", "deadline_ms"}
-            )
-            if unknown:
-                raise protocol.ProtocolError(
-                    f"unknown query parameter(s): {', '.join(unknown)}"
-                )
-            graph = params.get("graph")
-            if not graph:
-                raise protocol.ProtocolError(
-                    "query parameter 'graph' is required"
-                )
-            resources = params.get(
-                "resources", protocol.DEFAULT_RESOURCES
-            )
-            nodes = self._stream_int(params, "nodes")
-            deadline_ms = self._stream_int(params, "deadline_ms")
+            spec = protocol.parse_stream(query)
         except protocol.ProtocolError as exc:
             self.metrics.errors += 1
             return exc.status, protocol.error_payload(str(exc)), {}
-        if nodes is None and deadline_ms is None:
+        budget = spec.budget_dict()
+        nodes, deadline_ms = budget.get("nodes"), budget.get("deadline_ms")
+        if not budget:
             # An unbudgeted stream still terminates: the default node
             # budget bounds one request's CPU, and the checkpoint left
             # behind lets the next request continue the search.
@@ -430,7 +395,8 @@ class ScheduleServer(HttpServerCore):
             # Construction seeds from the cache (disk reads, graph
             # build) — executor, not the loop thread.
             improver = await loop.run_in_executor(
-                None, lambda: Improver(self.engine, graph, resources)
+                None,
+                lambda: Improver(self.engine, spec.graph, spec.resources),
             )
         except ReproError as exc:
             self.metrics.errors += 1

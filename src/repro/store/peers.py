@@ -51,7 +51,8 @@ def parse_address(text: str) -> Tuple[str, int]:
             raise ValueError
     except ValueError:
         raise ReproError(
-            f"malformed peer address {text!r}; expected HOST:PORT"
+            f"malformed address {text!r}; expected HOST:PORT or PORT "
+            f"with a port in 1..65535"
         )
     return host or "127.0.0.1", port
 

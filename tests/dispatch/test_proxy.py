@@ -190,6 +190,18 @@ class TestMalformedAnswers:
                 )
             )
 
+    @BOTH
+    def test_head_over_the_cap_is_a_protocol_error(self, call):
+        # 70,000 bytes of header and no end of head: past the 64 KiB
+        # reader limit, which must not escape as LimitOverrunError.
+        with pytest.raises(proxy.ProxyProtocolError, match="too large"):
+            run(
+                against(
+                    sends(OK_HEAD + b"X-Pad: " + b"a" * 70_000 + b"\r\n"),
+                    call,
+                )
+            )
+
     def test_declared_body_at_the_cap_is_accepted(self, monkeypatch):
         monkeypatch.setattr(proxy, "MAX_RESPONSE_BODY", 8)
         (status, _, body), _ = run(

@@ -248,7 +248,8 @@ class TestStreamRelay:
         assert "unknown benchmark" in raw.json()["error"]
         # Missing graph: also an edge refusal.
         assert client.request("GET", "/schedule/stream").status == 400
-        # Replica-side validation errors relay verbatim.
+        # A malformed budget: the router parses the query exactly like
+        # a replica, so this is an edge refusal too.
         raw = client.request(
             "GET", "/schedule/stream?graph=HAL&nodes=zero"
         )

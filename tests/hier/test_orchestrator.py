@@ -162,6 +162,20 @@ class TestFailureModes:
                 get_graph("EF")
             )
 
+    @pytest.mark.parametrize(
+        "target", ["127.0.0.1:70000", "127.0.0.1:0", "host:", "x"]
+    )
+    def test_bad_serve_target_exits_2_before_any_attempt(
+        self, target, capsys
+    ):
+        from repro.__main__ import main
+
+        # Refused while parsing, so no request is sent and retried.
+        assert main(["hier", "EF", "--target", target]) == 2
+        err = capsys.readouterr().err
+        assert f"error: malformed address {target!r}" in err
+        assert "unreachable" not in err
+
     def test_bad_rounds_and_slack_rejected(self):
         with pytest.raises(SchedulingError):
             HierOrchestrator("2+/-,2*", max_rounds=0)

@@ -11,6 +11,7 @@ from repro.scheduling.resources import (
     MEM,
     MUL,
     FU_TYPES,
+    MAX_UNITS,
     ResourceSet,
     bank_assignment,
     banked_mem,
@@ -114,6 +115,22 @@ class TestSemantics:
     def test_negative_count_rejected(self):
         with pytest.raises(ResourceError):
             ResourceSet({ALU: -1})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: ResourceSet.parse(f"{n}+/-,2*"),
+            lambda n: ResourceSet.parse(f"{n - 1}*,1*"),
+            lambda n: ResourceSet.of(mul=n),
+            lambda n: ResourceSet.of(alu=1).with_added(MUL, n),
+            lambda n: ResourceSet.of(alu=1).with_banked_mem(n, 1),
+        ],
+        ids=["parse", "parse-accumulated", "of", "with_added", "banked"],
+    )
+    def test_unit_counts_are_bounded(self, build):
+        assert build(MAX_UNITS).total_units >= MAX_UNITS
+        with pytest.raises(ResourceError, match=f"\\[0, {MAX_UNITS}\\]"):
+            build(MAX_UNITS + 1)
 
     def test_equality_and_hash(self):
         assert ResourceSet.parse("2+/-") == ResourceSet.of(alu=2)
