@@ -9,6 +9,8 @@ the same graph through the router and assert the tier's contracts:
 - exactly one replica ran the improver (canonical-key routing), and
   the improved canonical entry is peer-visible on the *other* replica
   (accepted rewrites publish across the mesh);
+- the ``exact`` alias answers with the ``bnb-anytime`` entry's key
+  and bytes;
 - the heuristic tier is untouched: every force-directed length still
   matches the committed BENCH_baseline.json;
 - a fault-free cluster reports no ``publish_errors`` and no ``errors``.
@@ -77,6 +79,15 @@ try:
     assert body["length"] == terminal["length"], body["length"]
     assert body["artifact"]["meta"]["bnb"]["proved"] is True, body
     key = served.headers["x-repro-key"]
+
+    # --- `exact` is an alias of bnb-anytime: the same canonical key,
+    # and the same proved entry, byte for byte. ---
+    alias = replicas.client(owner).schedule_raw(
+        "HAL", algorithm="exact", artifacts=True)
+    assert alias.status == 200, alias.status
+    assert alias.headers["x-repro-key"] == key, (alias.headers, key)
+    assert alias.body == served.body, (alias.body, served.body)
+    print("exact alias serves the proved bnb-anytime entry")
 
     # --- ...and is peer-visible on the OTHER replica: the accepted
     # rewrite published across the mesh (async, so poll briefly). ---

@@ -2,7 +2,7 @@
 
 Not a paper artifact per se — this is the design-choice ablation:
 list (both priorities), force-directed, threaded
-(best meta) and, on HAL, the exact branch-and-bound optimum as the
+(best meta) and, on HAL, the proved branch-and-bound optimum as the
 yardstick.  The graph/constraint line-up is the unified suite from
 :mod:`repro.engine.bench` (also behind ``python -m repro bench``).
 """
@@ -13,7 +13,7 @@ from repro.core.scheduler import threaded_schedule
 from repro.engine.bench import SUITE_BENCHES, SUITE_CONSTRAINT
 from repro.graphs.registry import get_graph
 from repro.ir.analysis import diameter
-from repro.scheduling.exact import exact_schedule
+from repro.scheduling.bnb import bnb_anytime_schedule
 from repro.scheduling.force_directed import force_directed_schedule
 from repro.scheduling.list_scheduler import ListPriority, list_schedule
 from repro.scheduling.resources import ResourceSet
@@ -61,7 +61,8 @@ def test_force_directed(benchmark, bench_name):
 
 def test_exact_hal(benchmark):
     graph = get_graph("HAL")
-    schedule = benchmark(exact_schedule, graph, RESOURCES)
+    schedule = benchmark(bnb_anytime_schedule, graph, RESOURCES)
+    assert schedule.meta["bnb"]["proved"]
     assert schedule.length == 7  # certified optimum
 
     heuristic = list_schedule(graph, RESOURCES, ListPriority.SINK_DISTANCE)

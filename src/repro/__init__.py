@@ -19,7 +19,7 @@ Package map (details in README.md):
 =====================  =============================================
 ``repro.ir``           dataflow graphs, analyses, behavioral frontend
 ``repro.graphs``       benchmark graphs (HAL, AR, EF, FIR, ...)
-``repro.scheduling``   hard baselines: list, ASAP/ALAP, FDS, exact
+``repro.scheduling``   hard baselines: list, ASAP/ALAP, FDS, BnB
 ``repro.core``         threaded (soft) scheduling — the contribution
 ``repro.allocation``   lifetimes, left-edge registers, spills, binding
 ``repro.physical``     floorplan + wire-delay model + back-annotation
@@ -51,7 +51,6 @@ from repro.scheduling import (
     Schedule,
     alap_schedule,
     asap_schedule,
-    exact_schedule,
     force_directed_schedule,
     list_schedule,
     validate_schedule,
@@ -94,7 +93,6 @@ __all__ = [
     "asap_schedule",
     "alap_schedule",
     "force_directed_schedule",
-    "exact_schedule",
     "validate_schedule",
     "ThreadedGraph",
     "ThreadedScheduler",

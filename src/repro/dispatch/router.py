@@ -324,7 +324,10 @@ class DispatchRouter(HttpServerCore):
 
     async def _health_loop(self, name: str) -> None:
         await asyncio.sleep(self._probe_stagger_s(name))
-        while True:
+        # Checked, not just cancelled: on Python 3.11 the probe's
+        # `asyncio.wait_for` can swallow a cancel that races with the
+        # exchange finishing (bpo-42130), and `stop` awaits this task.
+        while not self._draining:
             try:
                 ok = await self._probe(name)
                 self._apply_probe(name, ok)

@@ -68,7 +68,7 @@ from repro.engine.scenario import lower_scenario
 from repro.errors import ConfigError, SchedulingError
 from repro.scheduling.base import schedule_artifact
 
-#: Graphs at or below this many ops get an exact-optimum comparison
+#: Graphs at or below this many ops get a proved-optimum comparison
 #: when the engine is constructed with ``compute_gaps=True``.
 DEFAULT_GAP_OPS_LIMIT = 12
 
@@ -142,16 +142,17 @@ def _worker_init() -> None:
 def _gap_rule(
     spec: Optional[JobSpec], algorithm: str, num_ops: int, gap_ops_limit: int
 ) -> bool:
-    """Does a job get an exact-optimum gap (when gaps are asked for)?
+    """Does a job get an optimality gap (when gaps are asked for)?
 
     Constrained jobs (windows or a scenario) never do — the
-    unconstrained exact length is not their baseline — nor does
-    ``exact`` itself or a graph above ``gap_ops_limit`` ops.  ``spec``
-    is ``None`` where only the result is at hand.
+    unconstrained optimum is not their baseline — nor does the
+    comparator ``bnb-anytime`` itself or a graph above
+    ``gap_ops_limit`` ops.  ``spec`` is ``None`` where only the result
+    is at hand.
     """
     if spec is not None and (spec.windows or spec.scenario):
         return False
-    return algorithm != "exact" and num_ops <= gap_ops_limit
+    return algorithm != "bnb-anytime" and num_ops <= gap_ops_limit
 
 
 def execute_job(
@@ -184,7 +185,7 @@ def execute_job(
     # passes over its state (spill/wire insertion in repro.core.refine)
     # grow it in place.  No registry runner applies those passes today,
     # but input-graph facts — the op count reported on the result and
-    # the exact-comparator eligibility — are sampled before the runner
+    # the gap-comparator eligibility — are sampled before the runner
     # regardless, so a refinement-enabled runner can never skew them.
     num_input_ops = dfg.num_nodes
     input_ops = dfg.nodes() if capture_schedule else None
@@ -233,9 +234,14 @@ def execute_job(
     ):
         # Fresh build: threaded scheduling keeps the graph by reference,
         # so the comparator must not share state with the measured run.
+        # Only a proved optimum is a baseline; an unproved comparator
+        # leaves the gap unknown.
         try:
-            exact = ALGORITHMS["exact"].runner(spec.graph.build(), resources)
-            gap = schedule.length - exact.length
+            optimum = ALGORITHMS["bnb-anytime"].runner(
+                spec.graph.build(), resources
+            )
+            if optimum.meta["bnb"]["proved"]:
+                gap = schedule.length - optimum.length
         except SchedulingError:
             gap = None  # the comparator's infeasibility is not the job's
 
@@ -276,8 +282,8 @@ class BatchEngine:
         itself (LRU eviction; see :class:`ResultCache`).
     compute_gaps:
         When true, jobs on graphs of at most ``gap_ops_limit`` ops also
-        run the exact branch-and-bound comparator and record the
-        optimality gap in :attr:`JobResult.gap`.
+        run the ``bnb-anytime`` comparator and, when it proves its
+        optimum, record the optimality gap in :attr:`JobResult.gap`.
     capture_schedules:
         When true, every computed result carries the full schedule
         (op -> step/unit plus soft-scheduling insertions) in

@@ -195,7 +195,7 @@ def cmd_batch(args: Sequence[str]) -> int:
     parser.add_argument(
         "--gaps",
         action="store_true",
-        help="record optimality gap vs the exact scheduler on small graphs",
+        help="record optimality gap vs a proved optimum on small graphs",
     )
     _add_common(parser)
     opts = parser.parse_args(list(args))

@@ -396,9 +396,10 @@ class JobResult:
     (spill/wire insertions), so sampling afterwards would disagree
     across algorithms for the same graph.
 
-    ``gap`` is the optimality gap (``length - exact_length``) when the
-    engine was asked to compute gaps and the graph is small enough for
-    :func:`repro.scheduling.exact.exact_schedule`; otherwise ``None``.
+    ``gap`` is the optimality gap (``length - optimum``) when the
+    engine was asked to compute gaps, the graph is small enough for
+    the ``bnb-anytime`` comparator, and the comparator proved its
+    optimum; otherwise ``None``.
     ``cached`` marks results served from the result cache (including
     within-batch deduplication) rather than computed fresh.
 

@@ -5,8 +5,8 @@ model with the paper's ``"2+/-,2*"`` constraint notation, the
 :class:`~repro.scheduling.base.Schedule` container with validity
 checking, and the baseline algorithms the paper compares against or
 cites: resource-constrained list scheduling, ASAP/ALAP, force-directed
-scheduling, an exact branch-and-bound scheduler for small graphs, and
-an anytime branch-and-bound improver with Russian-doll lower bounds.
+scheduling, and an anytime branch-and-bound search with Russian-doll
+lower bounds that proves optima on small graphs.
 """
 
 from repro.scheduling.resources import FuType, ResourceSet, FU_TYPES
@@ -26,7 +26,6 @@ from repro.scheduling.force_directed import (
     force_directed_schedule,
     force_directed_schedule_reference,
 )
-from repro.scheduling.exact import exact_schedule
 from repro.scheduling.bnb import AnytimeBnB, bnb_anytime_schedule
 from repro.scheduling.simulator import evaluate_dfg, simulate_schedule
 
@@ -45,7 +44,6 @@ __all__ = [
     "list_schedule",
     "force_directed_schedule",
     "force_directed_schedule_reference",
-    "exact_schedule",
     "AnytimeBnB",
     "bnb_anytime_schedule",
     "evaluate_dfg",

@@ -112,7 +112,8 @@ _WAIT = None
 class _CoreSearch:
     """Explicit-stack depth-first B&B over one ``(dfg, resources)``.
 
-    Semantics mirror :func:`repro.scheduling.exact.exact_schedule`:
+    Move semantics (shared with the test suite's independent
+    reference search, ``tests/scheduling/exact_reference.py``):
     per-step issue decisions are the cartesian product of per-type
     candidate subsets (largest first, candidates by falling sink
     distance), structural/unconstrained ops are placed for free at

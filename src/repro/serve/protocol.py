@@ -264,7 +264,8 @@ def response_payload(
     artifact, gap where eligible) so any flag combination coalesces and
     caches together; here the payloads the request did not ask for are
     dropped.  ``gap`` stays ``null`` when requested on a graph too
-    large for the exact comparator.
+    large for the ``bnb-anytime`` comparator, or when the comparator
+    did not prove its optimum.
     """
     data = result.public_dict()
     if not request.artifacts:

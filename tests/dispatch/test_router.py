@@ -406,6 +406,46 @@ class TestRouterConstruction:
             DispatchRouter(["badhost:notaport"])
 
 
+class TestShutdown:
+    def test_stop_returns_when_a_probe_swallows_its_cancel(self):
+        """On Python 3.11, ``asyncio.wait_for`` inside a probe can
+        swallow a cancel that races with the exchange finishing.  The
+        health loop must still end once the router drains, or ``stop``
+        waits on it forever.  The outer ``wait_for`` keeps a hang
+        finite: its cancel reaches the loop through ``stop``'s await,
+        so a hung ``stop`` shows as the elapsed time, not a stuck
+        test."""
+        interval = 0.05
+        swallowed = []
+
+        async def probe(name):
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                if swallowed:
+                    raise
+                swallowed.append(name)
+                return False
+            return True
+
+        async def scenario():
+            router = DispatchRouter(
+                ["127.0.0.1:9"], port=0, health_interval_s=interval
+            )
+            router._probe = probe
+            await router.start()
+            await asyncio.sleep(4 * interval)  # the probe is in flight
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            drained = await asyncio.wait_for(router.stop(), 100 * interval)
+            return drained, loop.time() - started
+
+        drained, elapsed = asyncio.run(scenario())
+        assert swallowed == ["127.0.0.1:9"]
+        assert drained is True
+        assert elapsed < 20 * interval, elapsed
+
+
 class TestDispatchCli:
     def test_dispatch_requires_replica_flag(self, capsys):
         from repro.__main__ import main

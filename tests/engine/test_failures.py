@@ -85,16 +85,36 @@ class TestStructuredFailures:
     def test_gap_comparator_infeasibility_is_not_the_jobs_failure(
         self, monkeypatch
     ):
-        """A SchedulingError inside the optional exact comparator must
+        """A SchedulingError inside the optional gap comparator must
         cost only the gap, never the (successful) job itself."""
 
-        def exploding_exact(dfg, resources):
+        def exploding_comparator(dfg, resources):
             raise SchedulingError("comparator down")
 
         monkeypatch.setitem(
             ALGORITHMS,
-            "exact",
-            replace(ALGORITHMS["exact"], runner=exploding_exact),
+            "bnb-anytime",
+            replace(ALGORITHMS["bnb-anytime"], runner=exploding_comparator),
+        )
+        engine = BatchEngine(compute_gaps=True)
+        result = engine.run([JobSpec.make("HAL", "2+/-,2*", "list")])[0]
+        assert result.ok
+        assert result.gap is None
+
+    def test_an_unproved_comparator_gives_no_gap(self, monkeypatch):
+        """Only a proved optimum is a gap baseline: a comparator that
+        ran out of budget leaves the gap unknown, whatever its length."""
+        real = ALGORITHMS["bnb-anytime"]
+
+        def unproved_comparator(dfg, resources):
+            schedule = real.runner(dfg, resources)
+            schedule.meta["bnb"]["proved"] = False
+            return schedule
+
+        monkeypatch.setitem(
+            ALGORITHMS,
+            "bnb-anytime",
+            replace(real, runner=unproved_comparator),
         )
         engine = BatchEngine(compute_gaps=True)
         result = engine.run([JobSpec.make("HAL", "2+/-,2*", "list")])[0]

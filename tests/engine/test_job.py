@@ -72,8 +72,9 @@ ALIASES = {
     "threaded-meta2": "threaded(meta2)",
     "threaded-meta3": "threaded(meta3)",
     "threaded-meta4": "threaded(meta4)",
-    "bnb": "exact",
     "anytime": "bnb-anytime",
+    "exact": "bnb-anytime",
+    "bnb": "bnb-anytime",
     "hier": "hier-fds",
 }
 
@@ -87,7 +88,6 @@ ACCEPTS = {
     "threaded(meta2)": set(),
     "threaded(meta3)": set(),
     "threaded(meta4)": set(),
-    "exact": set(),
     "bnb-anytime": {"windows", "budget", "io"},
     "hier-fds": set(),
 }
@@ -111,7 +111,7 @@ class TestAlgorithms:
         + [
             ("LIST-CP", "list(critical-path)"),
             ("threaded(meta2)", "threaded(meta2)"),
-            ("exact", "exact"),
+            ("EXACT", "bnb-anytime"),
             ("bnb-anytime", "bnb-anytime"),
         ],
     )
@@ -146,23 +146,23 @@ class TestAlgorithms:
         [
             (
                 "windows",
-                "algorithm 'exact' does not support window constraints; "
+                "algorithm 'hier-fds' does not support window constraints; "
                 f"window-capable algorithms: {WINDOW_CAPABLE}",
             ),
             (
                 "budget",
-                "algorithm 'exact' does not support a search budget; "
+                "algorithm 'hier-fds' does not support a search budget; "
                 "budget-capable algorithms: bnb-anytime",
             ),
             (
                 "memory",
-                "algorithm 'exact' does not account banked-memory "
+                "algorithm 'hier-fds' does not account banked-memory "
                 "conflicts; memory-capable algorithms: force-directed, "
                 "list(critical-path), list(ready)",
             ),
             (
                 "io",
-                "algorithm 'exact' does not support window constraints, "
+                "algorithm 'hier-fds' does not support window constraints, "
                 "which the io scenario lowers onto; window-capable "
                 f"algorithms: {WINDOW_CAPABLE}",
             ),
@@ -170,7 +170,9 @@ class TestAlgorithms:
     )
     def test_rejection_text(self, constraint, message):
         with pytest.raises(SchedulingError) as excinfo:
-            JobSpec.make("HAL", "2+/-,2*", "exact", **CONSTRAINTS[constraint])
+            JobSpec.make(
+                "HAL", "2+/-,2*", "hier-fds", **CONSTRAINTS[constraint]
+            )
         assert str(excinfo.value) == message
 
 

@@ -91,7 +91,7 @@ class TestNormalize:
 
     def test_io_mode_gated_to_window_algorithms(self):
         with pytest.raises(SchedulingError):
-            _norm({"mode": "io", "pins": {"a": 0}}, algorithm="exact")
+            _norm({"mode": "io", "pins": {"a": 0}}, algorithm="hier-fds")
 
     def test_reliability_rides_any_algorithm(self):
         scenario = {"mode": "reliability", "ops": ["m1"]}

@@ -1,22 +1,23 @@
-"""Exact resource-constrained scheduling by branch and bound.
+"""Reference exact scheduler: the cross-check oracle for the BnB search.
 
-The paper contrasts heuristics with "global optimization approaches,
-which usually reduce the high level synthesis task to a linear integer
-programming problem ... the problem size which these methods can tackle
-is limited".  This module provides that exact comparator for small
-graphs: a depth-first branch-and-bound over per-step start decisions,
-used in tests to certify the heuristics' quality and in an ablation
-bench.
+:func:`repro.scheduling.bnb.bnb_anytime_schedule` is the library's one
+exact search (it backs the ``bnb-anytime`` id and its ``exact``/``bnb``
+aliases).  This module keeps an independent, deliberately plain
+depth-first branch-and-bound with the same move semantics and none of
+its machinery (no frame windows, no busy-tail bound, no Russian-doll
+table), as the oracle the anytime search must agree with.
 
 The search enumerates, at each control step, every subset of startable
 ready operations that fits the free units, recursing step by step.  Two
 classic bounds prune the tree: the critical-path bound (longest remaining
 sink distance) and the resource bound (remaining work per unit type over
-unit count).
+unit count).  The returned schedule's ``meta["completed"]`` says whether
+the search ran to the end, which is what makes its length an optimum.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -37,14 +38,16 @@ _MemoKey = Tuple[FrozenSet[Tuple[str, int]], Tuple[Tuple[int, int], ...]]
 def exact_schedule(
     dfg: DataFlowGraph,
     resources: ResourceSet,
-    node_limit: int = 200_000,
+    node_limit: Optional[int] = 200_000,
 ) -> Schedule:
     """Minimum-latency resource-constrained schedule (exact).
 
     Intended for graphs up to roughly 20 operations; raises
     :class:`InfeasibleError` when an op has no compatible unit, and
-    stops early (returning the best found so far, which is optimal if
-    the search completed) after ``node_limit`` search nodes.
+    stops early (returning the best found so far) after ``node_limit``
+    search nodes; ``None`` searches without a cap.  ``meta`` records
+    ``explored`` (search nodes visited) and ``completed`` (the search
+    finished, so the length is the optimum).
     """
     missing = resources.check_schedulable(dfg)
     if missing:
@@ -80,6 +83,7 @@ def exact_schedule(
         fu_type: rank for rank, fu_type in enumerate(resources.fu_types)
     }
 
+    limit = math.inf if node_limit is None else node_limit
     explored = 0
     seen: Dict[_MemoKey, int] = {}
 
@@ -117,7 +121,7 @@ def exact_schedule(
     def search(step: int, busy: Dict[Tuple[FuType, int], int]) -> None:
         nonlocal best_length, best_times, explored
         explored += 1
-        if explored > node_limit:
+        if explored > limit:
             return
 
         unstarted = [n for n in order if n not in start_times]
@@ -245,6 +249,7 @@ def exact_schedule(
         start_times=best_times,
         resources=resources,
         algorithm="exact-bnb",
+        meta={"explored": explored, "completed": explored <= limit},
     )
     # Same exit discipline as the anytime solver: every schedule this
     # module hands out is re-checked against precedence and unit

@@ -1,8 +1,10 @@
-"""Tests for the exact branch-and-bound scheduler."""
+"""Tests for the reference exact branch-and-bound scheduler (the
+oracle ``test_bnb.py`` cross-checks the anytime search against)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_reference import exact_schedule
 from repro.errors import InfeasibleError
 from repro.graphs import hal
 from repro.graphs.random_dags import random_layered_dag
@@ -11,7 +13,6 @@ from repro.ir.builder import GraphBuilder
 from repro.scheduling import (
     ListPriority,
     ResourceSet,
-    exact_schedule,
     list_schedule,
     validate_schedule,
 )
@@ -59,6 +60,35 @@ class TestExactSmall:
         steps, one above the optimum."""
         g = random_layered_dag(18, seed=4999)
         assert exact_schedule(g, ResourceSet.parse("1+/-,1*")).length == 12
+
+
+class TestCompletion:
+    """The oracle says whether its search finished: only a finished
+    search makes its length an optimum."""
+
+    def test_a_cap_below_the_search_reports_not_completed(self):
+        capped = exact_schedule(
+            hal(), ResourceSet.parse("2+/-,1*"), node_limit=10
+        )
+        assert capped.meta["completed"] is False
+        # The capped answer is still a valid schedule (the incumbent).
+        assert validate_schedule(capped, check_binding=False) == []
+
+    def test_an_uncapped_search_completes(self):
+        full = exact_schedule(
+            hal(), ResourceSet.parse("2+/-,1*"), node_limit=None
+        )
+        assert full.meta == {"explored": 1_058, "completed": True}
+        assert full.length == 13
+
+    def test_a_cap_equal_to_the_search_still_completes(self):
+        rs = ResourceSet.parse("2+/-,1*")
+        assert exact_schedule(hal(), rs, node_limit=1_058).meta[
+            "completed"
+        ]
+        assert not exact_schedule(hal(), rs, node_limit=1_057).meta[
+            "completed"
+        ]
 
 
 class TestExactProperty:
