@@ -1,5 +1,6 @@
 import json
 import signal
+import statistics
 import subprocess
 import threading
 import time
@@ -36,6 +37,21 @@ for name, r in zip(requests, responses):
 assert all(len(bodies) == 1 for bodies in by_name.values()), {
     n: len(b) for n, b in by_name.items()
 }
+
+# --- Warm hits skip the batch window (20 ms on this server). ---
+batches = client.metrics()["batches"]
+seconds = []
+for index in range(50):
+    name = names[index % len(names)]
+    started = time.perf_counter()
+    hit = client.schedule_raw(name, algorithm="meta2")
+    seconds.append(time.perf_counter() - started)
+    assert hit.status == 200 and hit.source == "cache", (name, hit.status)
+    assert hit.body in by_name[name], f"{name}: hit differs from warm answer"
+hit_ms = statistics.median(seconds) * 1000.0
+print(f"warm hit median: {hit_ms:.2f} ms")
+assert hit_ms < 10.0, f"warm hits waited out the window: {hit_ms:.2f} ms"
+assert client.metrics()["batches"] == batches, "hits flushed batches"
 
 # --- Artifact payload round-trips through an inline graph. ---
 ef = get_graph("EF")

@@ -198,14 +198,15 @@ class DispatchRouter(HttpServerCore):
         """
         self._draining = True
         await self.close_listener()
-        for task in self._health_tasks:
+        tasks, self._health_tasks = self._health_tasks, []
+        for task in tasks:
             task.cancel()
-        for task in self._health_tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._health_tasks = []
+        if tasks:
+            # `asyncio.wait` absorbs the health tasks' own cancels but
+            # raises when `stop` itself is cancelled (an outer
+            # `wait_for`, a shutdown timeout), where awaiting each task
+            # under `except CancelledError` would swallow that cancel.
+            await asyncio.wait(tasks)
         drained = True
         deadline = (
             asyncio.get_running_loop().time() + self.drain_timeout_s

@@ -37,7 +37,9 @@ use the submission API instead of one-shot :meth:`BatchEngine.run`:
 :meth:`BatchEngine.start` keeps one worker pool alive across calls, and
 :meth:`BatchEngine.submit` is safe to invoke from concurrent threads —
 cache resolution serializes on an internal lock while the compute phase
-overlaps across batches.
+overlaps across batches.  :meth:`BatchEngine.memory_hit` answers a
+memory-tier hit without waiting for that lock, so an event loop can
+serve hits itself and submit only the misses.
 """
 
 from __future__ import annotations
@@ -576,26 +578,11 @@ class BatchEngine:
 
             keyed: List[Tuple[str, JobSpec, str]] = []
             for key, spec, graph_hash in unique:
-                quarantine = self._quarantine_error(key)
-                if quarantine is not None:
-                    # A quarantined job never reaches another worker:
-                    # answer the structured failure immediately (and
-                    # never cache it — see the store-back phase).
-                    resolve(
-                        key,
-                        self._crash_result(key, spec, graph_hash,
-                                           quarantine),
-                    )
-                    continue
-                hit = self.cache.get(
-                    key,
-                    require=lambda r, spec=spec: self._servable(r, spec),
-                    strip_artifact=not self.capture_schedules,
-                )
-                if hit is None:
+                answer = self._answer(key, spec, graph_hash)
+                if answer is None:
                     keyed.append((key, spec, graph_hash))
                     continue
-                resolve(key, self._shape(hit))
+                resolve(key, answer)
 
         keyed = self._resolve_from_peers(keyed, resolve)
 
@@ -618,6 +605,64 @@ class BatchEngine:
                 resolve(key, shaped)
 
         return [resolved[index] for index in range(len(specs))]
+
+    def _answer(
+        self,
+        key: str,
+        spec: JobSpec,
+        graph_hash: str,
+        share_artifact: bool = False,
+    ) -> Optional[JobResult]:
+        """What the store answers for one job; None on a miss.
+
+        The one hit resolver, shared by :meth:`submit` and
+        :meth:`memory_hit`; call under ``_lock``.  A quarantined job
+        never reaches another worker: it answers its structured failure
+        (never cached — see the store-back phase).  Otherwise a
+        servable entry is a hit, counted and LRU-touched by the cache
+        and shaped for this engine.  ``share_artifact`` passes through
+        to :meth:`ResultCache.get`.
+        """
+        quarantine = self._quarantine_error(key)
+        if quarantine is not None:
+            return self._crash_result(key, spec, graph_hash, quarantine)
+        hit = self.cache.get(
+            key,
+            require=lambda r: self._servable(r, spec),
+            strip_artifact=not self.capture_schedules,
+            share_artifact=share_artifact,
+        )
+        return None if hit is None else self._shape(hit)
+
+    def memory_hit(self, spec: JobSpec) -> Optional[JobResult]:
+        """Answer ``spec`` from the memory tier without waiting; or None.
+
+        The serving layer's event-loop probe (see
+        :meth:`repro.serve.coalescer.RequestCoalescer.schedule`).  It
+        never blocks on the submission lock, reads an entry from disk,
+        or builds or hashes a graph: a contended lock, a graph whose
+        fingerprint is not memoized, or no servable entry in memory
+        returns None with no stats moved, and the caller submits the
+        job as usual.  A hit moves the same stats and LRU recency as
+        one in :meth:`submit` (with a disk layer, that includes the
+        shard-file mtime refresh the cache throttles to once per
+        ``TOUCH_INTERVAL_S`` per key), and carries the store's own
+        artifact object (read-only; see ``share_artifact`` on
+        :meth:`ResultCache.get`).
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            graph_hash = self._fingerprints.get(spec.graph)
+            if graph_hash is None:
+                return None
+            key = spec.cache_key(graph_hash)
+            entry = self.cache.lookup(key, memory_only=True)
+            if entry is None or not self._servable(entry, spec):
+                return None
+            return self._answer(key, spec, graph_hash, share_artifact=True)
+        finally:
+            self._lock.release()
 
     def _resolve_from_peers(
         self,

@@ -404,6 +404,7 @@ class ResultCache:
         key: str,
         require: Optional[Callable[[JobResult], bool]] = None,
         strip_artifact: bool = False,
+        share_artifact: bool = False,
     ) -> Optional[JobResult]:
         """The cached result for ``key``, marked ``cached=True``; or None.
 
@@ -415,6 +416,9 @@ class ResultCache:
         ``strip_artifact`` returns the hit without its artifact (the
         entry keeps it): callers that would discard the payload anyway
         skip the deep copy of a potentially large schedule dict.
+        ``share_artifact`` returns the entry's own artifact instead of
+        a copy, for callers that only read it; every write stores a
+        fresh artifact object, so its identity names the entry written.
         """
         result = self._memory.get(key)
         if result is None and self._dir is not None:
@@ -458,22 +462,28 @@ class ResultCache:
         self._evict(protect=key)
         # Deep-copy the artifact so callers that rework the schedule
         # (feedback-guided flows) never mutate the store's entry.
-        artifact = (
-            None if strip_artifact else copy.deepcopy(result.artifact)
-        )
+        if strip_artifact:
+            artifact = None
+        elif share_artifact:
+            artifact = result.artifact
+        else:
+            artifact = copy.deepcopy(result.artifact)
         return dataclasses.replace(result, cached=True, artifact=artifact)
 
-    def lookup(self, key: str) -> Optional[JobResult]:
+    def lookup(
+        self, key: str, memory_only: bool = False
+    ) -> Optional[JobResult]:
         """The stored entry for ``key``, memory first, then disk; or None.
 
         Free of stats, recency and index effects — a peer probing for
         an entry, or a write ranking itself against the incumbent, must
         not distort hit/miss accounting or LRU order.  Foreign-format
-        and corrupt disk entries read as absent.  The entry is the
-        store's own object: callers must not mutate it.
+        and corrupt disk entries read as absent.  ``memory_only`` never
+        touches the disk layer.  The entry is the store's own object:
+        callers must not mutate it.
         """
         result = self._memory.get(key)
-        if result is None and self._dir is not None:
+        if result is None and self._dir is not None and not memory_only:
             result = self._load(key)[1]
         return result
 

@@ -421,8 +421,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=coalescer.DEFAULT_BATCH_WINDOW_MS,
         metavar="MS",
         help=(
-            "flush a non-full micro-batch after this wait "
-            "(default %(default)s)"
+            "flush a non-full micro-batch after this wait; only misses "
+            "wait, memory-tier hits answer at once (default %(default)s)"
         ),
     )
     parser.add_argument(

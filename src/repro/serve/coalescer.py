@@ -2,8 +2,15 @@
 
 Online scheduling traffic is duplicate-heavy: feedback-guided iterative
 flows re-query the same ``(graph, resources, algorithm)`` point many
-times while exploring a design.  The coalescer exploits that twice:
+times while exploring a design.  The coalescer exploits that three
+ways:
 
+* **Memory hits on the loop** — a request whose answer sits in the
+  engine's memory tier is answered on the spot through
+  :meth:`BatchEngine.memory_hit`, which never blocks, so a warm hit
+  pays no batch window and no thread hop.  Anything the probe cannot
+  settle at once (a miss, a disk-only or unservable entry, a busy
+  engine lock) takes the buffered path below unchanged.
 * **Coalescing** — a request whose :class:`~repro.engine.job.JobSpec`
   is already in flight attaches to the existing future instead of
   submitting again, so a burst of N identical requests costs exactly
@@ -105,12 +112,18 @@ class RequestCoalescer:
         computation another request already had in flight.  Awaiting
         the shared future is shielded per caller, so one client
         disconnecting never cancels the computation its twins are
-        still waiting on.
+        still waiting on.  A memory-tier hit returns without awaiting
+        anything; its artifact is the store's own, so callers only
+        read it.
         """
         future = self._inflight.get(spec)
         if future is not None:
             self.metrics.coalesced += 1
             return await asyncio.shield(future), True
+        result = self.engine.memory_hit(spec)
+        if result is not None:
+            self._count(result)
+            return result, False
         future = asyncio.get_running_loop().create_future()
         self._inflight[spec] = future
         self._buffer.append((spec, future))
@@ -202,28 +215,30 @@ class RequestCoalescer:
             return
         for (spec, future), result in zip(batch, results):
             self._settle(spec)
-            if result.cached:
-                self.metrics.cache_hits += 1
-            else:
-                self.metrics.computed += 1
-                self.metrics.record_compute(
-                    result.algorithm, result.runtime_s
-                )
-                # Hierarchical jobs report orchestration meta in the
-                # artifact; surface round/partition totals on /metrics.
-                meta = (result.artifact or {}).get("meta") or {}
-                if "hier_rounds" in meta:
-                    self.metrics.record_hier(
-                        meta["hier_rounds"],
-                        meta.get("hier_partitions", 0),
-                    )
-                # Scenario jobs record their mode in the artifact meta
-                # the same way; surface per-mode counts on /metrics.
-                scenario = meta.get("scenario") or {}
-                if "mode" in scenario:
-                    self.metrics.record_scenario(scenario["mode"])
+            self._count(result)
             if not future.done():
                 future.set_result(result)
+
+    def _count(self, result: JobResult) -> None:
+        """Move the counters for one answered job, however it was
+        resolved (memory hit on the loop, or a flushed batch)."""
+        if result.cached:
+            self.metrics.cache_hits += 1
+            return
+        self.metrics.computed += 1
+        self.metrics.record_compute(result.algorithm, result.runtime_s)
+        # Hierarchical jobs report orchestration meta in the artifact;
+        # surface round/partition totals on /metrics.
+        meta = (result.artifact or {}).get("meta") or {}
+        if "hier_rounds" in meta:
+            self.metrics.record_hier(
+                meta["hier_rounds"], meta.get("hier_partitions", 0)
+            )
+        # Scenario jobs record their mode in the artifact meta the same
+        # way; surface per-mode counts on /metrics.
+        scenario = meta.get("scenario") or {}
+        if "mode" in scenario:
+            self.metrics.record_scenario(scenario["mode"])
 
     # ------------------------------------------------------------------
 

@@ -5,10 +5,11 @@ lives in :class:`~repro.serve.http.HttpServerCore`, shared with the
 multi-replica dispatcher — exposing three endpoints:
 
 ``POST /schedule``
-    Validate the body (see :mod:`repro.serve.protocol`), coalesce it
-    onto any identical in-flight computation, micro-batch it into the
-    shared :class:`~repro.engine.batch.BatchEngine`, and answer with
-    the canonical result JSON.  Volatile provenance travels in
+    Validate the body (see :mod:`repro.serve.protocol`), answer a
+    memory-tier hit at once, else coalesce it onto any identical
+    in-flight computation or micro-batch it into the shared
+    :class:`~repro.engine.batch.BatchEngine`, and answer with the
+    canonical result JSON.  Volatile provenance travels in
     headers: ``X-Repro-Source: computed|coalesced|cache``.  Constraint
     scenarios (``scenario`` / ``io_schedule`` request fields, see
     :mod:`repro.engine.scenario`) ride the same path: they are part of
@@ -49,6 +50,8 @@ from typing import Dict, Iterable, Optional, Tuple
 from repro import faultlab
 from repro.engine.batch import DEFAULT_WORKERS, BatchEngine
 from repro.engine.cache import _is_key
+from repro.engine.job import JobResult
+from repro.engine.keys import FINGERPRINT_MEMO_LIMIT
 from repro.errors import ConfigError, ReproError
 from repro.improve import Improver
 from repro.serve import protocol
@@ -166,6 +169,13 @@ class ScheduleServer(HttpServerCore):
             batch_window_ms=batch_window_ms,
         )
         self._draining = False
+        # Encoded hit responses by (key, artifacts, gaps), each beside
+        # the stored artifact object it was encoded from (see
+        # `_response_body`); cleared on overflow like the engine's
+        # fingerprint memo.
+        self._responses: Dict[
+            Tuple[str, bool, bool], Tuple[Dict, bytes]
+        ] = {}
         # Improver runs keyed by canonical cache key; a stream request
         # for a key whose improver is live attaches instead of
         # starting a second search over the same graph.
@@ -353,10 +363,38 @@ class ScheduleServer(HttpServerCore):
         finally:
             self.metrics.in_flight -= 1
             self.metrics.observe_latency(time.monotonic() - started)
-        return 200, protocol.response_payload(result, request), {
+        return 200, self._response_body(result, request), {
             "X-Repro-Source": protocol.source_of(result, coalesced),
             "X-Repro-Key": result.key,
         }
+
+    def _response_body(
+        self, result: JobResult, request: protocol.ScheduleRequest
+    ) -> Body:
+        """The response for one served result; hits reuse their bytes.
+
+        A memory-tier hit carries the store's own artifact object, and
+        every write to a key (a recompute, a peer install, an anytime
+        rewrite — all through the engine's ``_admit``) stores a fresh
+        one.  So bytes memoized beside the very artifact a hit carries
+        are still that entry's encoding, and the hit skips the payload
+        build and the JSON encode; a rewritten entry misses the memo
+        and is encoded afresh.
+        """
+        artifact = result.artifact
+        if not result.cached or artifact is None:
+            return protocol.response_payload(result, request)
+        memo_key = (result.key, request.artifacts, request.gaps)
+        memo = self._responses.get(memo_key)
+        if memo is not None and memo[0] is artifact:
+            return memo[1]
+        body = protocol.encode_json(
+            protocol.response_payload(result, request)
+        )
+        if len(self._responses) >= FINGERPRINT_MEMO_LIMIT:
+            self._responses.clear()
+        self._responses[memo_key] = (artifact, body)
+        return body
 
     # ------------------------------------------------------------------
     # Live improvement streams.

@@ -445,6 +445,38 @@ class TestShutdown:
         assert drained is True
         assert elapsed < 20 * interval, elapsed
 
+    def test_a_cancel_aimed_at_stop_propagates(self):
+        """``stop`` absorbs its health tasks' cancels, never its own: a
+        shutdown bound wrapped around ``stop`` must still fire while a
+        probe is slow to honour its cancel."""
+        honoured = []
+
+        async def probe(name):
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                await asyncio.sleep(2.0)  # slow to honour the cancel
+                honoured.append(name)
+                raise
+            return True
+
+        async def scenario():
+            router = DispatchRouter(
+                ["127.0.0.1:9"], port=0, health_interval_s=0.05
+            )
+            router._probe = probe
+            await router.start()
+            await asyncio.sleep(0.2)  # the probe is in flight
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(router.stop(), 0.2)
+            return loop.time() - started
+
+        elapsed = asyncio.run(scenario())
+        assert elapsed < 1.0, elapsed
+        assert honoured == []  # the bound fired before the probe ended
+
 
 class TestDispatchCli:
     def test_dispatch_requires_replica_flag(self, capsys):

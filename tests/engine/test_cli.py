@@ -3,9 +3,14 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 
@@ -146,6 +151,29 @@ def test_batch_unbounded_cache_skips_store_walk(tmp_path, capsys):
     # No capacity bound -> the O(store) index walk is not forced just
     # to print a summary line.
     assert "store:" not in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_serving_stack():
+    """``repro batch`` starts through ``repro.engine.cli``; its launch
+    time must not pay for the event loop, the serving and dispatch
+    layers, or the cluster store, which only ``serve``/``dispatch``
+    import when they run.  A fresh interpreter, so no other test's
+    imports count."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = "import sys, repro.engine.cli; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    heavy = ("asyncio", "repro.serve", "repro.store", "repro.dispatch")
+    assert [
+        name for name in loaded
+        if any(name == top or name.startswith(top + ".") for top in heavy)
+    ] == []
 
 
 class TestUnwritableCacheDir:

@@ -52,6 +52,10 @@ class StubEngine:
         self.delay_s = delay_s
         self.batches = []
 
+    def memory_hit(self, spec):
+        """No memory tier: every job takes the buffered path."""
+        return None
+
     def submit(self, specs):
         if self.gate is not None:
             assert self.gate.wait(10), "test never released the gate"
