@@ -10,10 +10,11 @@ keys — every other replica's sharded result store stays hot.
 Positions are sha256-derived and deterministic: two routers configured
 with the same members and ``vnodes`` route identically, which is what
 lets routers be replicated themselves.  The same determinism connects
-the routing tier to the cluster store tier: a replica's peers-only
-ring walks its keys in the router's failover order minus itself, so
-publishing to the first ring successor seeds exactly the replica a
-failover would land on.
+the routing tier to the cluster store tier: both build their rings
+with :data:`DEFAULT_VNODES`, so a replica's peers-only ring walks its
+keys in the router's failover order minus itself, and publishing to
+the first ring successor seeds exactly the replica a failover would
+land on.
 
 >>> ring = HashRing(["10.0.0.1:8791", "10.0.0.2:8791",
 ...                  "10.0.0.3:8791"], vnodes=8)

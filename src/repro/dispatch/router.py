@@ -60,7 +60,7 @@ from repro.serve.http import (
 from repro.serve.stream import sse_frame
 from repro.dispatch import proxy
 from repro.dispatch.metrics import DispatchMetrics
-from repro.dispatch.ring import DEFAULT_VNODES, HashRing
+from repro.dispatch.ring import HashRing
 from repro.store.peers import parse_address
 
 #: Seconds between health-probe sweeps over the replica set.
@@ -119,7 +119,6 @@ class DispatchRouter(HttpServerCore):
         replicas: List[str],
         host: str = DEFAULT_HOST,
         port: int = 0,
-        vnodes: int = DEFAULT_VNODES,
         health_interval_s: float = DEFAULT_HEALTH_INTERVAL_S,
         probe_timeout_s: float = DEFAULT_PROBE_TIMEOUT_S,
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
@@ -151,7 +150,7 @@ class DispatchRouter(HttpServerCore):
             if name in self.replicas:
                 raise ReproError(f"duplicate replica address {name!r}")
             self.replicas[name] = (replica_host, replica_port)
-        self.ring = HashRing(self.replicas, vnodes=vnodes)
+        self.ring = HashRing(self.replicas)
         self.health_interval_s = health_interval_s
         self.probe_timeout_s = probe_timeout_s
         self.request_timeout_s = request_timeout_s

@@ -161,15 +161,9 @@ class ReplicaSet:
         extra_args: Sequence[str] = (),
         boot_timeout: float = 30.0,
         peer_mesh: bool = False,
-        publish: Optional[str] = None,
-        peer_timeout_s: Optional[float] = None,
     ):
         if count < 1:
             raise ReproError(f"need at least 1 replica, got {count}")
-        if (publish or peer_timeout_s) and not peer_mesh:
-            raise ReproError(
-                "publish/peer_timeout_s require peer_mesh=True"
-            )
         self.count = count
         self.cache_root = Path(cache_root) if cache_root else None
         self.batch_window_ms = batch_window_ms
@@ -177,8 +171,6 @@ class ReplicaSet:
         self.extra_args = tuple(extra_args)
         self.boot_timeout = boot_timeout
         self.peer_mesh = peer_mesh
-        self.publish = publish
-        self.peer_timeout_s = peer_timeout_s
         self.members: List[ReplicaProcess] = []
 
     # ------------------------------------------------------------------
@@ -215,12 +207,6 @@ class ReplicaSet:
                             args += [
                                 "--peer", f"127.0.0.1:{peer_port}"
                             ]
-                    if self.publish is not None:
-                        args += ["--publish", self.publish]
-                    if self.peer_timeout_s is not None:
-                        args += [
-                            "--peer-timeout", str(self.peer_timeout_s)
-                        ]
                 self.members.append(
                     start_replica(
                         args,

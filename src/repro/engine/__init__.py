@@ -27,8 +27,8 @@ result store),
 :mod:`~repro.engine.batch` (the engine), :mod:`~repro.engine.sweeps`
 (job sources), :mod:`~repro.engine.bench` (the unified benchmark
 harness behind ``python -m repro bench``), :mod:`~repro.engine.cli`
-(the ``batch``/``bench``/``serve``/``dispatch`` command-line front
-ends).
+(the ``batch``/``bench`` commands and the flag helpers the other
+engine-backed commands share).
 """
 
 from repro.engine.algorithms import (

@@ -25,8 +25,7 @@ the entry already held and writes nothing when the held entry wins.
 The pool uses the ``fork`` start method where the platform offers it:
 ``spawn``/``forkserver`` re-import the parent's ``__main__``, which
 breaks engine use from a REPL, a ``python - <<EOF`` heredoc, or any
-other unimportable main module.  Pass ``mp_context="spawn"`` to force
-a specific start method.
+other unimportable main module.
 
 Determinism: a job's entire randomness budget lives in its spec (random
 DAG seeds, seeded meta schedules), so serial and parallel execution
@@ -83,10 +82,8 @@ DEFAULT_WORKERS = 1
 CRASH_STRIKE_LIMIT = 2
 
 
-def _pool_context(name: Optional[str]):
-    """The requested start method, defaulting to fork-else-spawn."""
-    if name is not None:
-        return get_context(name)
+def _pool_context():
+    """The ``fork`` start method where available, else ``spawn``."""
     try:
         return get_context("fork")
     except ValueError:
@@ -275,8 +272,7 @@ class BatchEngine:
         Process count.  ``1`` (the default) runs everything in-process;
         higher values fan unique jobs out over a process pool using the
         ``fork`` start method where the platform offers it, else
-        ``spawn`` (see :func:`_pool_context`; override with
-        ``mp_context``).
+        ``spawn`` (see :func:`_pool_context`).
     cache / cache_dir:
         Pass a ready :class:`ResultCache`, or a directory for the
         on-disk layer, or neither for a fresh in-memory cache.
@@ -299,7 +295,6 @@ class BatchEngine:
         cache_dir: Union[str, Path, None] = None,
         compute_gaps: bool = False,
         gap_ops_limit: int = DEFAULT_GAP_OPS_LIMIT,
-        mp_context: Optional[str] = None,
         capture_schedules: bool = False,
         max_cache_entries: Optional[int] = None,
     ):
@@ -318,7 +313,6 @@ class BatchEngine:
         self.cache = cache
         self.compute_gaps = compute_gaps
         self.gap_ops_limit = gap_ops_limit
-        self.mp_context = mp_context
         self.capture_schedules = capture_schedules
         # The module-level limit is read here (not in keys.py) so tests
         # and embedders that tune `batch.FINGERPRINT_MEMO_LIMIT` keep
@@ -487,7 +481,7 @@ class BatchEngine:
         worker-side signal detachment (see :func:`_worker_init`)."""
         return ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=_pool_context(self.mp_context),
+            mp_context=_pool_context(),
             initializer=_worker_init,
         )
 

@@ -181,15 +181,6 @@ def run_suite(
     )
 
 
-def write_report(report: BenchReport, path: Union[str, Path]) -> None:
-    try:
-        Path(path).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise ReproError(f"cannot write bench results {path}: {exc}")
-
-
 def load_report(path: Union[str, Path]) -> BenchReport:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -22,6 +22,7 @@ point is made long before it becomes unbearable.
 
 from __future__ import annotations
 
+import argparse
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -109,7 +110,11 @@ def render(points: List[ComplexityPoint]) -> str:
     )
 
 
-def main() -> None:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argparse.ArgumentParser(
+        prog="repro complexity",
+        description="Measure Theorem 3's linearity claim.",
+    ).parse_args(argv)
     points = complexity_series()
     print(render(points))
     grow = points[-1].threaded_work_per_op / points[0].threaded_work_per_op
@@ -118,6 +123,7 @@ def main() -> None:
         f"\nAlgorithm 1 work/op grew {grow:.1f}x over a {size_ratio:.0f}x "
         "size increase (linear => ratios comparable)."
     )
+    return 0
 
 
 if __name__ == "__main__":

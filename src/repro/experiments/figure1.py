@@ -12,7 +12,9 @@ Reproduces every number the paper states about its running example:
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.core.refine import insert_spill, insert_wire_delay
 from repro.core.scheduler import ThreadedScheduler
@@ -82,7 +84,11 @@ def figure1_walkthrough() -> Figure1Numbers:
     )
 
 
-def main() -> None:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argparse.ArgumentParser(
+        prog="repro figure1",
+        description="Replay the paper's Figure 1 walkthrough.",
+    ).parse_args(argv)
     numbers = figure1_walkthrough()
     print("Figure 1 walkthrough (paper values in parentheses)")
     print(f"  (b) hard ALAP schedule:      {numbers.alap_length} states")
@@ -100,6 +106,7 @@ def main() -> None:
         f"({Figure1Numbers.PAPER_AFTER_WIRE}); hard patch: "
         f"{numbers.hard_after_wire}"
     )
+    return 0
 
 
 if __name__ == "__main__":

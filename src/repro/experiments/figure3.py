@@ -10,8 +10,9 @@ cell-by-cell comparison; :func:`figure3_table` computes ours.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.scheduler import threaded_schedule
 from repro.experiments.tables import render_table
@@ -149,11 +150,16 @@ def render(cells: List[Figure3Cell]) -> str:
     )
 
 
-def main() -> None:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argparse.ArgumentParser(
+        prog="repro figure3",
+        description="Print the paper's Figure 3 results table.",
+    ).parse_args(argv)
     cells = figure3_table()
     print(render(cells))
     matched = sum(1 for c in cells if c.matches)
     print(f"\n{matched}/{len(cells)} cells match the paper exactly.")
+    return 0
 
 
 if __name__ == "__main__":

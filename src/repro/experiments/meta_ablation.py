@@ -11,8 +11,9 @@ scheduler's on the same graph/resources.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Sequence
 
 from repro.core.meta import META_SCHEDULES, meta_random
 from repro.core.scheduler import threaded_schedule
@@ -95,8 +96,13 @@ def render(summaries: List[AblationSummary]) -> str:
     )
 
 
-def main() -> None:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argparse.ArgumentParser(
+        prog="repro ablation",
+        description="Measure meta-schedule sensitivity on random DAGs.",
+    ).parse_args(argv)
     print(render(meta_ablation()))
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ largely absorbed by the soft schedule's slack.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -110,7 +111,11 @@ def render(rows: List[PhaseCouplingRow]) -> str:
     )
 
 
-def main() -> None:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argparse.ArgumentParser(
+        prog="repro coupling",
+        description="Compare hard patching with soft refinement.",
+    ).parse_args(argv)
     rows = phase_coupling_table()
     print(render(rows))
     hard_total = sum(r.hard_growth for r in rows)
@@ -119,6 +124,7 @@ def main() -> None:
         f"\ntotal schedule growth across benchmarks: hard +{hard_total}, "
         f"soft +{soft_total}"
     )
+    return 0
 
 
 if __name__ == "__main__":

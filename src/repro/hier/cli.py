@@ -11,13 +11,12 @@ keys vs the cluster's fresh-compute counter).
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.engine.algorithms import FDS_SLACK, capable
 from repro.engine.batch import DEFAULT_WORKERS
+from repro.engine.cli import add_json, write_json
 from repro.errors import ReproError
 from repro.graphs.random_dags import random_hier_dag
 from repro.graphs.registry import get_graph
@@ -35,13 +34,8 @@ from repro.resilience.policy import DEFAULT_MAX_ATTEMPTS, RetryPolicy
 REPORT_FORMAT = "repro-hier-v1"
 
 
-def build_hier_parser() -> argparse.ArgumentParser:
-    """The ``repro hier`` argument parser.
-
-    A named builder (like ``build_serve_parser``) so the docs-sync
-    test can assert the documented flags are exactly the accepted
-    ones.
-    """
+def cmd_hier(args: Sequence[str]) -> int:
+    """Entry point for ``repro hier``."""
     parser = argparse.ArgumentParser(
         prog="repro hier",
         description=(
@@ -148,17 +142,7 @@ def build_hier_parser() -> argparse.ArgumentParser:
             "0 retries until the exchange succeeds (default %(default)s)"
         ),
     )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the machine-readable run report to PATH",
-    )
-    return parser
-
-
-def cmd_hier(args: Sequence[str]) -> int:
-    """Entry point for ``repro hier``."""
-    parser = build_hier_parser()
+    add_json(parser)
     opts = parser.parse_args(list(args))
     if opts.graph is None and opts.random is None:
         raise ReproError("pass a benchmark name or --random N")
@@ -223,28 +207,24 @@ def cmd_hier(args: Sequence[str]) -> int:
     )
 
     if opts.json:
-        payload = {
-            "format": REPORT_FORMAT,
-            "graph": label,
-            "num_ops": dfg.num_nodes,
-            "resources": opts.resources,
-            "algorithm": opts.algorithm,
-            "partitions": result.num_partitions,
-            "cut_size": result.partition.cut_size,
-            "rounds": result.rounds,
-            "gaps": list(result.gaps),
-            "length": result.schedule.length,
-            "jobs": result.jobs,
-            "cached_jobs": result.cached_jobs,
-            "unique_keys": len(result.keys),
-            "keys": list(result.keys),
-            "wall_s": wall_s,
-        }
-        try:
-            Path(opts.json).write_text(
-                json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-            )
-        except OSError as exc:
-            raise ReproError(f"cannot write report {opts.json}: {exc}")
-        print(f"wrote {opts.json}")
+        write_json(
+            opts.json,
+            {
+                "format": REPORT_FORMAT,
+                "graph": label,
+                "num_ops": dfg.num_nodes,
+                "resources": opts.resources,
+                "algorithm": opts.algorithm,
+                "partitions": result.num_partitions,
+                "cut_size": result.partition.cut_size,
+                "rounds": result.rounds,
+                "gaps": list(result.gaps),
+                "length": result.schedule.length,
+                "jobs": result.jobs,
+                "cached_jobs": result.cached_jobs,
+                "unique_keys": len(result.keys),
+                "keys": list(result.keys),
+                "wall_s": wall_s,
+            },
+        )
     return 0

@@ -12,12 +12,10 @@ from the stored checkpoint instead of restarting.
 from __future__ import annotations
 
 import argparse
-import json
-from pathlib import Path
 from typing import Sequence
 
 from repro.engine.batch import BatchEngine
-from repro.errors import ReproError
+from repro.engine.cli import add_json, write_json
 from repro.improve.improver import Improver
 from repro.scheduling.bnb import DEFAULT_SLICE_NODES
 from repro.scheduling.resources import DEFAULT_RESOURCES
@@ -25,13 +23,8 @@ from repro.scheduling.resources import DEFAULT_RESOURCES
 REPORT_FORMAT = "repro-improve-v1"
 
 
-def build_improve_parser() -> argparse.ArgumentParser:
-    """The ``repro improve`` argument parser.
-
-    A named builder (like ``build_serve_parser``) so the docs-sync
-    test can assert the documented flags are exactly the accepted
-    ones.
-    """
+def cmd_improve(args: Sequence[str]) -> int:
+    """Entry point for ``repro improve``."""
     parser = argparse.ArgumentParser(
         prog="repro improve",
         description=(
@@ -92,17 +85,7 @@ def build_improve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress per-event progress lines",
     )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the machine-readable run report to PATH",
-    )
-    return parser
-
-
-def cmd_improve(args: Sequence[str]) -> int:
-    """Entry point for ``repro improve``."""
-    parser = build_improve_parser()
+    add_json(parser)
     opts = parser.parse_args(list(args))
 
     engine = BatchEngine(
@@ -149,12 +132,5 @@ def cmd_improve(args: Sequence[str]) -> int:
     )
 
     if opts.json:
-        payload = {"format": REPORT_FORMAT, **summary}
-        try:
-            Path(opts.json).write_text(
-                json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-            )
-        except OSError as exc:
-            raise ReproError(f"cannot write report {opts.json}: {exc}")
-        print(f"wrote {opts.json}")
+        write_json(opts.json, {"format": REPORT_FORMAT, **summary})
     return 0

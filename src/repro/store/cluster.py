@@ -26,9 +26,8 @@ request; a publish shed because the async queue is full is a
 ``publish_dropped`` (logged once per store).  A per-peer
 :class:`~repro.resilience.CircuitBreaker` sits in front of both
 directions: a peer that keeps failing stops receiving traffic until a
-probe readmits it, and an optional :class:`~repro.resilience.RetryPolicy`
-adds backed-off per-peer retries to fetch walks (off by default — the
-ring walk is the first-line retry).
+probe readmits it.  Each peer gets one attempt per fetch walk; the ring
+walk itself is the retry.
 
 Concurrency: the engine calls :meth:`get`/:meth:`put` under its
 submission lock, and calls :meth:`fetch_missing` *outside* it (network
@@ -57,7 +56,7 @@ from repro import metrics
 from repro.engine.cache import ResultCache, decode_entry, encode_entry
 from repro.engine.job import JobResult
 from repro.errors import ConfigError, ReproError, check_duration
-from repro.resilience import CircuitBreaker, RetryPolicy
+from repro.resilience import CircuitBreaker
 from repro.resilience.breaker import (
     DEFAULT_FAILURE_THRESHOLD,
     DEFAULT_RESET_TIMEOUT_S,
@@ -178,10 +177,8 @@ class ClusterStore(ResultCache):
         peer_timeout_s: float = DEFAULT_PEER_TIMEOUT_S,
         publish: str = DEFAULT_PUBLISH,
         publish_fanout: int = DEFAULT_PUBLISH_FANOUT,
-        vnodes: Optional[int] = None,
         fetch: Optional[Callable] = None,
         push: Optional[Callable] = None,
-        retry: Optional[RetryPolicy] = None,
         breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         breaker_reset_s: float = DEFAULT_RESET_TIMEOUT_S,
     ):
@@ -189,7 +186,7 @@ class ClusterStore(ResultCache):
         # init pulls in the router, which imports the serve layer,
         # which imports this module — a cycle at import time, but not
         # at construction time.
-        from repro.dispatch.ring import DEFAULT_VNODES, HashRing
+        from repro.dispatch.ring import HashRing
 
         check_peer_options(peer_timeout_s, publish, publish_fanout)
         super().__init__(cache_dir, max_entries=max_entries)
@@ -200,10 +197,9 @@ class ClusterStore(ResultCache):
             if name in self.peer_addresses:
                 raise ReproError(f"duplicate peer address {name!r}")
             self.peer_addresses[name] = (host, port)
-        self.ring = HashRing(
-            self.peer_addresses,
-            vnodes=DEFAULT_VNODES if vnodes is None else vnodes,
-        )
+        # The router's default vnode count too, so this peers-only
+        # ring walks each key in the router's failover order.
+        self.ring = HashRing(self.peer_addresses)
         self.peer_timeout_s = peer_timeout_s
         self.publish_mode = publish if self.peer_addresses else "off"
         self.publish_fanout = publish_fanout
@@ -216,12 +212,6 @@ class ClusterStore(ResultCache):
         metrics.zero(self, metrics.STORE)
         self._drop_logged = False
         self._pending = 0
-        # One attempt per peer per walk by default (`max_attempts=1`):
-        # the ring walk itself is the retry mechanism in steady state.
-        # A caller that wants per-peer retries passes a RetryPolicy.
-        self.retry = (
-            retry if retry is not None else RetryPolicy(max_attempts=1)
-        )
         # Per-peer breakers, shared by fetch walks and publish
         # deliveries: a peer that keeps failing stops receiving
         # traffic for `breaker_reset_s`, then readmits via one probe.
@@ -268,37 +258,30 @@ class ClusterStore(ResultCache):
 
     def _fetch_one(self, key: str) -> Optional[JobResult]:
         for name in self.ring.preference(key):
+            if not self._breaker_allows(name):
+                continue
             host, port = self.peer_addresses[name]
             breaker = self._breakers[name]
-            attempt = 0
-            while self._breaker_allows(name):
-                attempt += 1
-                try:
-                    data = self._fetch(
-                        host, port, key, timeout=self.peer_timeout_s
-                    )
-                    # A clean 404 is a healthy answer: this peer just
-                    # lacks the entry.  PeerError and stub misbehavior
-                    # alike must degrade to a miss — the fallback is
-                    # always local compute.
-                    result = (
-                        None if data is None else parse_entry(data, key)
-                    )
-                except Exception:
-                    with self._peer_lock:
-                        self.peer_fetch_errors += 1
-                        breaker.record_failure()
-                    if not self.retry.allows(attempt + 1):
-                        break
-                    time.sleep(self.retry.backoff_s(attempt))
-                    continue
+            try:
+                data = self._fetch(
+                    host, port, key, timeout=self.peer_timeout_s
+                )
+                # A clean 404 is a healthy answer: this peer just lacks
+                # the entry.  PeerError and stub misbehavior alike must
+                # degrade to a miss — the fallback is always local
+                # compute.
+                result = None if data is None else parse_entry(data, key)
+            except Exception:
                 with self._peer_lock:
-                    breaker.record_success()
-                    if result is not None:
-                        self.peer_hits += 1
+                    self.peer_fetch_errors += 1
+                    breaker.record_failure()
+                continue
+            with self._peer_lock:
+                breaker.record_success()
                 if result is not None:
-                    return result
-                break  # clean 404: walk on to the next ring position
+                    self.peer_hits += 1
+            if result is not None:
+                return result
         with self._peer_lock:
             self.peer_misses += 1
         return None

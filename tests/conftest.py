@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import argparse
+
 import pytest
 
 from repro.graphs import (
@@ -56,3 +58,27 @@ def paper_constraints():
 @pytest.fixture
 def two_two():
     return ResourceSet.parse("2+/-,2*")
+
+
+class _Parsing(Exception):
+    """Carries a command's parser out at the moment it would parse."""
+
+
+@pytest.fixture
+def parser_of(monkeypatch):
+    """``parser_of(command)``: the argparse parser behind ``repro
+    <command>``, taken from the command itself as it starts to parse,
+    so the command runs nothing and no parser is declared twice."""
+    from repro.__main__ import main
+
+    def intercept(parser, args=None, namespace=None):
+        raise _Parsing(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", intercept)
+
+    def parser_of(command):
+        with pytest.raises(_Parsing) as parsing:
+            main([command])
+        return parsing.value.args[0]
+
+    return parser_of

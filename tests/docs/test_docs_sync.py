@@ -4,9 +4,9 @@ Five sync contracts:
 
 1. every dotted ``repro.*`` reference in the docs resolves to a real
    module (or an attribute of one);
-2. the CLI flags documented in OPERATIONS.md are exactly the flags
-   the ``repro serve`` / ``dispatch`` / ``hier`` / ``improve``
-   argparsers accept, and each flag table's ``default`` column is
+2. every ``repro`` command in the command table that takes flags has
+   an OPERATIONS.md section whose flags are exactly the flags its
+   argparser accepts, and whose flag table's ``default`` column is
    exactly the parser's defaults;
 3. the ``/metrics`` tables in OPERATIONS.md and the declarations in
    :mod:`repro.metrics` name the same metrics, both directions, and
@@ -26,12 +26,10 @@ from pathlib import Path
 import pytest
 
 from repro import metrics
+from repro.__main__ import _COMMANDS
 from repro.dispatch.metrics import DispatchMetrics
 from repro.engine.algorithms import ALGORITHMS
 from repro.engine.cache import ResultCache
-from repro.engine.cli import build_dispatch_parser, build_serve_parser
-from repro.hier.cli import build_hier_parser
-from repro.improve.cli import build_improve_parser
 from repro.serve.server import ScheduleServer
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -112,32 +110,28 @@ def default_cell(default) -> str:
     return f"`{default}`"
 
 
-def parser_flags(parser) -> set:
-    flags = set()
-    for action in parser._actions:
-        flags.update(
-            option
-            for option in action.option_strings
-            if option.startswith("--")
-        )
-    flags.discard("--help")
-    return flags
+def parser_defaults(parser) -> dict:
+    """``{flag: default cell}`` per long option the parser accepts."""
+    return {
+        option: default_cell(action.default)
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
 
 
-@pytest.mark.parametrize(
-    "heading,builder",
-    [
-        ("repro serve", build_serve_parser),
-        ("repro dispatch", build_dispatch_parser),
-        ("repro hier", build_hier_parser),
-        ("repro improve", build_improve_parser),
-    ],
-)
-def test_operations_flags_match_parser(heading, builder):
-    """Documented flags == accepted flags, both directions."""
-    section = section_of(doc_text("OPERATIONS.md"), heading)
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_operations_flags_match_parser(command, parser_of):
+    """Documented flags == accepted flags, both directions, for every
+    command that takes flags."""
+    parsed = parser_defaults(parser_of(command))
+    heading = f"repro {command}"
+    operations = doc_text("OPERATIONS.md")
+    if not parsed and f"## {heading}" not in operations:
+        return  # a command without flags needs no flag table
+    section = section_of(operations, heading)
     documented = set(FLAG.findall(section))
-    accepted = parser_flags(builder())
+    accepted = set(parsed)
     missing = accepted - documented
     assert not missing, (
         f"`{heading}` flags not documented in OPERATIONS.md: "
@@ -148,31 +142,22 @@ def test_operations_flags_match_parser(heading, builder):
         f"OPERATIONS.md documents `{heading}` flags the parser does "
         f"not accept: {sorted(phantom)}"
     )
-    parsed = {
-        option: default_cell(action.default)
-        for action in builder()._actions
-        for option in action.option_strings
-        if option.startswith("--") and option != "--help"
-    }
     assert flag_table_defaults(section) == parsed, (
         f"the `{heading}` flag table's default column disagrees with "
         "the parser"
     )
 
 
-def test_every_doc_flag_is_accepted_somewhere():
-    """No doc file may mention a flag no repro CLI accepts."""
-    accepted = (
-        parser_flags(build_serve_parser())
-        | parser_flags(build_dispatch_parser())
-        | parser_flags(build_hier_parser())
-        | parser_flags(build_improve_parser())
-    )
+def test_every_doc_flag_is_accepted_somewhere(parser_of):
+    """No doc file may mention a flag no repro command accepts."""
+    accepted = set()
+    for command in _COMMANDS:
+        accepted.update(parser_defaults(parser_of(command)))
     for path in DOC_FILES:
         for flag in set(FLAG.findall(path.read_text(encoding="utf-8"))):
             assert flag in accepted, (
-                f"{path.name} mentions {flag}, which no serve/dispatch "
-                "parser accepts"
+                f"{path.name} mentions {flag}, which no repro command "
+                "accepts"
             )
 
 

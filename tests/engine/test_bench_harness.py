@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.engine import bench
+from repro.engine.cli import write_json
 from repro.errors import ReproError
 
 
@@ -27,7 +28,7 @@ def test_run_suite_shape(small_report):
 
 def test_results_json_round_trip(small_report, tmp_path):
     path = tmp_path / "BENCH_results.json"
-    bench.write_report(small_report, path)
+    write_json(str(path), small_report.to_dict())
     loaded = bench.load_report(path)
     assert loaded.results == small_report.results
     assert loaded.benches == small_report.benches

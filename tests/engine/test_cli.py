@@ -1,6 +1,5 @@
 """CLI tests: exit codes, usage messages, bench/batch plumbing."""
 
-import argparse
 import inspect
 import json
 import os
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.__main__ import main
+from repro.__main__ import _COMMANDS, main
 
 
 def test_no_args_prints_usage(capsys):
@@ -271,7 +270,6 @@ OUT_OF_RANGE = [
     ["serve", "--publish-fanout", "-1"],
     ["serve", "--cache-dir", "{tmp}", "--cache-entries", "0"],
     ["dispatch", "--replica", "127.0.0.1:9", "--port", "70000"],
-    ["dispatch", "--replica", "127.0.0.1:9", "--vnodes", "0"],
     ["dispatch", "--replica", "127.0.0.1:9", "--health-interval", "0"],
     ["dispatch", "--replica", "127.0.0.1:9", "--health-interval", "nan"],
     ["dispatch", "--replica", "127.0.0.1:9", "--probe-timeout", "0"],
@@ -305,37 +303,36 @@ OUT_OF_RANGE = [
 ]
 
 
+@pytest.fixture
+def side_effects(monkeypatch):
+    """Record every bind and every job instead of running it."""
+    from repro.engine.batch import BatchEngine
+    from repro.hier import orchestrator
+    from repro.improve.improver import Improver
+    from repro.serve.http import HttpServerCore
+
+    calls = []
+
+    def record(name):
+        def stub(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran for a rejected argv")
+
+        return stub
+
+    monkeypatch.setattr(HttpServerCore, "listen", record("listen"))
+    monkeypatch.setattr(BatchEngine, "submit", record("submit"))
+    monkeypatch.setattr(orchestrator, "execute_job", record("execute_job"))
+    monkeypatch.setattr(
+        orchestrator.ServeBackend, "run", record("ServeBackend.run")
+    )
+    monkeypatch.setattr(Improver, "step", record("Improver.step"))
+    return calls
+
+
 class TestOutOfRangeFlags:
     """Every bounded flag is checked by the constructor it feeds; the
     CLI turns that check into exit 2 before any socket or job."""
-
-    @pytest.fixture
-    def side_effects(self, monkeypatch):
-        """Record every bind and every job instead of running it."""
-        from repro.engine.batch import BatchEngine
-        from repro.hier import orchestrator
-        from repro.improve.improver import Improver
-        from repro.serve.http import HttpServerCore
-
-        calls = []
-
-        def record(name):
-            def stub(*args, **kwargs):
-                calls.append(name)
-                raise AssertionError(f"{name} ran for a rejected argv")
-
-            return stub
-
-        monkeypatch.setattr(HttpServerCore, "listen", record("listen"))
-        monkeypatch.setattr(BatchEngine, "submit", record("submit"))
-        monkeypatch.setattr(
-            orchestrator, "execute_job", record("execute_job")
-        )
-        monkeypatch.setattr(
-            orchestrator.ServeBackend, "run", record("ServeBackend.run")
-        )
-        monkeypatch.setattr(Improver, "step", record("Improver.step"))
-        return calls
 
     @pytest.mark.parametrize(
         "argv", OUT_OF_RANGE, ids=lambda argv: " ".join(argv)
@@ -351,29 +348,14 @@ class TestOutOfRangeFlags:
         assert side_effects == []
 
 
-def parser_of(command):
-    """The argparse parser behind a ``repro`` command."""
-    from repro.engine import cli
-    from repro.hier.cli import build_hier_parser
-    from repro.improve.cli import build_improve_parser
-
-    if command == "batch":
-        parser = argparse.ArgumentParser()
-        cli._add_common(parser)
-        return parser
-    return {
-        "serve": cli.build_serve_parser,
-        "dispatch": cli.build_dispatch_parser,
-        "hier": build_hier_parser,
-        "improve": build_improve_parser,
-    }[command]()
-
-
 def library_defaults():
     """``{(command, dest): library default}`` for every flag whose
     value feeds a library parameter."""
     from repro.dispatch.router import DispatchRouter
     from repro.engine.batch import BatchEngine
+    from repro.engine.bench import run_suite
+    from repro.engine.sweeps import random_dag_sweep
+    from repro.graphs.registry import graph_names
     from repro.hier.orchestrator import HierOrchestrator
     from repro.improve.improver import Improver
     from repro.resilience import RetryPolicy
@@ -387,14 +369,24 @@ def library_defaults():
         }
 
     engine = params(BatchEngine)
+    suite = params(run_suite)
     server = params(ScheduleServer)
     router = params(DispatchRouter)
     hier = params(HierOrchestrator)
     router_retry = DispatchRouter(["127.0.0.1:9"]).retry
     return {
+        ("batch", "seed"): params(random_dag_sweep)["base_seed"],
+        ("batch", "paper_only"): params(graph_names)["paper_only"],
+        ("batch", "gaps"): engine["compute_gaps"],
         ("batch", "workers"): engine["workers"],
         ("batch", "cache"): engine["cache_dir"],
         ("batch", "cache_entries"): engine["max_cache_entries"],
+        ("batch", "artifacts"): engine["capture_schedules"],
+        ("bench", "workers"): suite["workers"],
+        ("bench", "cache"): suite["cache_dir"],
+        ("bench", "cache_entries"): suite["max_cache_entries"],
+        ("bench", "artifacts"): suite["capture_schedules"],
+        ("schedule", "resources"): DEFAULT_RESOURCES,
         ("serve", "host"): server["host"],
         ("serve", "workers"): server["workers"],
         ("serve", "cache_dir"): server["cache_dir"],
@@ -407,7 +399,6 @@ def library_defaults():
         ("serve", "publish"): server["publish"],
         ("serve", "publish_fanout"): server["publish_fanout"],
         ("dispatch", "host"): router["host"],
-        ("dispatch", "vnodes"): router["vnodes"],
         ("dispatch", "health_interval"): router["health_interval_s"],
         ("dispatch", "probe_timeout"): router["probe_timeout_s"],
         ("dispatch", "request_timeout"): router["request_timeout_s"],
@@ -433,11 +424,16 @@ def library_defaults():
     }
 
 
-#: Flags with no library parameter to agree with.  ``--port`` is the
-#: one deliberate disagreement: the CLI listens on 8080, the library
-#: constructors default to 0 (any free port).
+#: Arguments with no library parameter to agree with.  ``--port`` is
+#: the one deliberate disagreement: the CLI listens on 8080, the
+#: library constructors default to 0 (any free port).  ``schedule``'s
+#: ``meta`` defaults to ``meta2``, the short alias of the library's
+#: ``meta2-topological``, because the command echoes the name.
 CLI_ONLY = {
-    ("batch", "artifacts"), ("batch", "json"),
+    ("batch", "graphs"), ("batch", "resources"), ("batch", "algorithms"),
+    ("batch", "random"), ("batch", "json"),
+    ("bench", "check"), ("bench", "json"),
+    ("schedule", "graph"), ("schedule", "meta"),
     ("serve", "port"), ("serve", "peer"),
     ("dispatch", "port"), ("dispatch", "replica"),
     ("hier", "graph"), ("hier", "random"), ("hier", "seed"),
@@ -446,23 +442,60 @@ CLI_ONLY = {
 }
 
 
-@pytest.mark.parametrize(
-    "command", ["batch", "serve", "dispatch", "hier", "improve"]
-)
-def test_parser_defaults_are_the_library_defaults(command):
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_parser_defaults_are_the_library_defaults(command, parser_of):
     expected = {
         dest: default
         for (owner, dest), default in library_defaults().items()
         if owner == command
     }
+    parser = parser_of(command)
     dests = {
-        action.dest
-        for action in parser_of(command)._actions
-        if action.dest != "help"
+        action.dest for action in parser._actions if action.dest != "help"
     }
     cli_only = {dest for owner, dest in CLI_ONLY if owner == command}
     assert dests == set(expected) | cli_only
-    defaults = {
-        dest: parser_of(command).get_default(dest) for dest in expected
-    }
+    defaults = {dest: parser.get_default(dest) for dest in expected}
     assert defaults == expected
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_prints_usage_and_runs_nothing(command, side_effects, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: repro {command} ")
+    assert captured.err == ""
+    assert side_effects == []
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_stray_flag_exits_2_and_runs_nothing(command, side_effects, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--bogus"])
+    assert done.value.code == 2
+    captured = capsys.readouterr()
+    assert f"repro {command}: error: " in captured.err
+    assert captured.out == ""
+    assert side_effects == []
+
+
+def test_main_import_loads_no_command_module():
+    """Each command's module is imported when that command runs, never
+    when ``repro`` starts.  A fresh interpreter, so no other test's
+    imports count."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = "import sys, repro.__main__; print(*sys.modules)"
+    loaded = set(
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+    )
+    modules = {target.split(":")[0] for target, _ in _COMMANDS.values()}
+    assert modules & loaded == set()
